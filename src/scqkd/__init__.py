@@ -16,7 +16,6 @@ from .core import (
     OUTCOME_ORDER,
     PovmSet,
     apply_switch,
-    born_sample,
     build_povm,
     eve_interaction,
     make_initial_state,
@@ -26,11 +25,9 @@ from .core import (
     terminal_distribution,
 )
 from .eve import (
-    EveConfig,
     EveOutcome,
     eve_guess,
     eve_information,
-    eve_measure,
 )
 from .ontology import (
     Classification,
@@ -53,7 +50,6 @@ from .protocol import (
     SessionLog,
     SiftedKey,
     disclose_check_subset,
-    run_round,
     run_session,
     sift,
 )
@@ -78,7 +74,6 @@ __all__ = [
     "Arm",
     "Choice",
     "Classification",
-    "EveConfig",
     "EveOutcome",
     "IntegrityViolationError",
     "InsufficientCheckDataError",
@@ -97,7 +92,6 @@ __all__ = [
     "apply_switch",
     "bayes_no_detection",
     "binary_entropy",
-    "born_sample",
     "build_povm",
     "classical_ball_table",
     "classical_epistemic_table",
@@ -110,7 +104,6 @@ __all__ = [
     "eve_guess",
     "eve_information",
     "eve_interaction",
-    "eve_measure",
     "is_physical",
     "is_real",
     "key_rate",
@@ -120,7 +113,6 @@ __all__ = [
     "probe_reference",
     "quantum_table",
     "recombine_at_beamsplitter",
-    "run_round",
     "run_session",
     "sift",
     "solve_threshold",

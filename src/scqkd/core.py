@@ -311,21 +311,3 @@ def build_povm(upsilon: float) -> PovmSet:
     p_minus = scale * (eye - np.outer(plus, plus.conj()))
     p_zero = eye - p_plus - p_minus
     return PovmSet(p_plus=p_plus, p_minus=p_minus, p_zero=p_zero, upsilon=upsilon)
-
-
-def born_sample(
-    dist: OutcomeDistribution, rng: np.random.Generator
-) -> tuple[Outcome, np.ndarray | None]:
-    """Draw one outcome from the distribution using a single uniform."""
-    u = rng.random()
-    acc = 0.0
-    for entry in dist.entries:
-        acc += entry.probability
-        if u < acc:
-            return entry.outcome, entry.probe
-    # Accumulated rounding can leave acc marginally below 1; fall back to
-    # the last nonzero entry.
-    for entry in reversed(dist.entries):
-        if entry.probability > 0.0:
-            return entry.outcome, entry.probe
-    raise ValueError("distribution has no positive-probability outcome")

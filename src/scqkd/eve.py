@@ -13,11 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from .core import PovmSet
 
 
 class EveOutcome(enum.Enum):
@@ -30,38 +25,6 @@ class EveOutcome(enum.Enum):
 
 #: Sampling and wire order of the POVM outcomes.
 EVE_OUTCOME_ORDER = (EveOutcome.PLUS, EveOutcome.MINUS, EveOutcome.INCONCLUSIVE)
-
-
-@dataclass(frozen=True)
-class EveConfig:
-    """Attack configuration: the probe separation angle.
-
-    upsilon = 0 is the no-attack limit (probe states identical, nothing to
-    discriminate) and is rejected here; run sessions without an attack
-    instead.
-    """
-
-    upsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.upsilon <= math.pi / 2:
-            raise ValueError(
-                f"upsilon must lie in (0, pi/2] for an active attack, got {self.upsilon}"
-            )
-
-
-def eve_measure(
-    probe: np.ndarray, povm: PovmSet, rng: np.random.Generator
-) -> EveOutcome:
-    """Measure a stored (normalized) probe with the discrimination POVM."""
-    probs = povm.outcome_probabilities(probe)
-    u = rng.random()
-    acc = 0.0
-    for outcome, p in zip(EVE_OUTCOME_ORDER, probs):
-        acc += p
-        if u < acc:
-            return outcome
-    return EVE_OUTCOME_ORDER[-1]
 
 
 def eve_guess(result: EveOutcome, announcement) -> int | None:

@@ -27,15 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    OUTCOME_ORDER,
-    Choice,
-    Outcome,
-    born_sample,
-    build_povm,
-    terminal_distribution,
-)
-from .eve import EVE_OUTCOME_ORDER, EveOutcome, eve_measure
+from .core import OUTCOME_ORDER, Choice, Outcome, build_povm, terminal_distribution
+from .eve import EVE_OUTCOME_ORDER, EveOutcome
 from .randomness import DISCLOSE_STREAM, ROUND_STREAM, philox_stream
 
 #: Choice encoding used by the columnar log (index into this tuple).
@@ -45,12 +38,20 @@ _EVE_ABSENT = -1
 
 _MAX_SEED = 2**64 - 1
 
+#: Rounds per task of the session's thread pool.  Results never depend on it.
+SAMPLING_BLOCK = 2**16
+
 
 class Announcement(enum.Enum):
     """Alice's public per-round announcement: D0, or anything else."""
 
     D0 = "D0"
     NOT_D0 = "NotD0"
+
+
+def _is_integer(value) -> bool:
+    """True for int and numpy integers; bool is a flag, not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,15 @@ class SessionConfig:
     check_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_rounds, int) or self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be a positive integer, got {self.n_rounds}")
+        if not _is_integer(self.n_rounds) or self.n_rounds < 1:
+            raise ValueError(f"n_rounds must be a positive integer, got {self.n_rounds!r}")
         if self.upsilon is not None and not 0.0 <= self.upsilon <= math.pi / 2:
             raise ValueError(f"upsilon must lie in [0, pi/2] or be absent, got {self.upsilon}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not _is_integer(self.seed) or not 0 <= self.seed <= _MAX_SEED:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        # numpy integers are stored as int so that artifacts serialize them.
+        object.__setattr__(self, "n_rounds", int(self.n_rounds))
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.check_fraction <= 1.0:
             raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction}")
 
@@ -101,11 +105,76 @@ class RoundRecord:
     disclosed_for_check: bool
 
 
+@dataclass(frozen=True)
+class SamplingTables:
+    """Inverse-CDF thresholds for one probe angle, rows indexed by choice pair.
+
+    The pair code is ``2 * alice + bob`` in ``CHOICES_BY_CODE`` codes.  Row
+    ``outcome_cum[pair]`` is the cumulative distribution over
+    ``OUTCOME_ORDER``; row ``eve_cum[pair]`` is the cumulative POVM
+    distribution over ``EVE_OUTCOME_ORDER`` on that pair's D0 probe
+    (``eve_cum`` is None without an attack).  ``d0_probes[pair]`` is the
+    probe Eve stores on a D0 round, or None when D0 is impossible.
+    """
+
+    outcome_cum: np.ndarray
+    eve_cum: np.ndarray | None
+    d0_probes: tuple[np.ndarray | None, ...]
+
+
+def _cumulative(probabilities) -> np.ndarray:
+    """Running sums, set to exactly 1 from the last possible outcome on.
+
+    Rounding leaves the sums a few ulps short of 1; without the guard, a
+    trailing zero-probability outcome would keep that sliver of [0, 1).
+    """
+    p = np.asarray(probabilities, dtype=float)
+    cum = np.cumsum(p)
+    cum[np.flatnonzero(p)[-1]:] = 1.0
+    return cum
+
+
 @functools.lru_cache(maxsize=64)
-def _cached_distribution(alice_code: int, bob_code: int, upsilon: float | None):
-    return terminal_distribution(
-        CHOICES_BY_CODE[alice_code], CHOICES_BY_CODE[bob_code], upsilon
+def sampling_tables(upsilon: float | None) -> SamplingTables:
+    """Build (once per angle) the tables every sampled round is drawn from."""
+    povm = build_povm(upsilon) if upsilon is not None and upsilon > 0.0 else None
+    outcome_cum = np.empty((4, len(OUTCOME_ORDER)))
+    eve_cum = np.zeros((4, len(EVE_OUTCOME_ORDER))) if povm is not None else None
+    d0_probes = []
+    for pair in range(4):
+        dist = terminal_distribution(
+            CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], upsilon
+        )
+        outcome_cum[pair] = _cumulative([dist.probability(o) for o in OUTCOME_ORDER])
+        probe = dist.probe(Outcome.D0)
+        d0_probes.append(probe)
+        if povm is not None and probe is not None:
+            eve_cum[pair] = _cumulative(povm.outcome_probabilities(probe))
+    for array in (outcome_cum, eve_cum, *d0_probes):
+        if array is not None:
+            array.flags.writeable = False  # shared by every caller through the cache
+    return SamplingTables(
+        outcome_cum=outcome_cum,
+        eve_cum=eve_cum,
+        d0_probes=tuple(d0_probes),
     )
+
+
+def _sample_codes(
+    tables: SamplingTables, pair: np.ndarray, u_outcome: np.ndarray, u_eve: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map pair codes and two uniforms per round to (outcome, Eve) codes.
+
+    Each code counts the thresholds of its row at or below the uniform,
+    which is the inverse-CDF draw.  Eve measures only D0 rounds under an
+    attack; every other round gets -1.
+    """
+    outcome = (tables.outcome_cum[pair] <= u_outcome[:, None]).sum(1, dtype=np.uint8)
+    eve = np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
+    if tables.eve_cum is not None:
+        d0 = np.flatnonzero(outcome == _D0)
+        eve[d0] = (tables.eve_cum[pair[d0]] <= u_eve[d0, None]).sum(1, dtype=np.int8)
+    return outcome, eve
 
 
 @dataclass
@@ -163,9 +232,8 @@ class SessionLog:
         eve_probe = None
         eve_result = None
         if self.config.attack_active and outcome is Outcome.D0:
-            eve_probe = _cached_distribution(
-                int(self.alice[i]), int(self.bob[i]), self.config.upsilon
-            ).probe(Outcome.D0)
+            pair = int(self.alice[i]) * 2 + int(self.bob[i])
+            eve_probe = sampling_tables(self.config.upsilon).d0_probes[pair]
             code = int(self.eve_result[i])
             eve_result = EVE_OUTCOME_ORDER[code] if code >= 0 else None
         return RoundRecord(
@@ -231,52 +299,10 @@ class SessionLog:
         return buf.getvalue()
 
 
-def run_round(
-    config: SessionConfig, rng: np.random.Generator, round_id: int = 0
-) -> RoundRecord:
-    """Simulate a single round, drawing choices and the outcome from ``rng``."""
-    alice = Choice.ABSORB if rng.random() < 0.5 else Choice.REFLECT
-    bob = Choice.ABSORB if rng.random() < 0.5 else Choice.REFLECT
-    dist = terminal_distribution(alice, bob, config.upsilon)
-    outcome, probe = born_sample(dist, rng)
-    eve_probe = None
-    eve_result = None
-    if config.attack_active and outcome is Outcome.D0:
-        eve_probe = probe
-        eve_result = eve_measure(probe, build_povm(config.upsilon), rng)
-    announced = Announcement.D0 if outcome is Outcome.D0 else Announcement.NOT_D0
-    return RoundRecord(
-        round_id=round_id,
-        alice_choice=alice,
-        bob_choice=bob,
-        outcome=outcome,
-        announced=announced,
-        eve_probe=eve_probe,
-        eve_result=eve_result,
-        sifted=outcome is Outcome.D0,
-        disclosed_for_check=False,
-    )
-
-
-def _sampling_tables(config: SessionConfig):
-    """Cumulative outcome thresholds per choice pair, plus Eve's per-pair POVM."""
-    outcome_cum = np.zeros((4, len(OUTCOME_ORDER)))
-    eve_cum = np.zeros((4, len(EVE_OUTCOME_ORDER)))
-    has_probe = [False] * 4
-    povm = build_povm(config.upsilon) if config.attack_active else None
-    for code in range(4):
-        dist = _cached_distribution(code >> 1, code & 1, config.upsilon)
-        cum = np.cumsum([dist.probability(o) for o in OUTCOME_ORDER])
-        cum[-1] = 1.0  # guard the float edge; probabilities sum to 1 within 1e-12
-        outcome_cum[code] = cum
-        if povm is not None:
-            d0_probe = dist.probe(Outcome.D0)
-            if d0_probe is not None:
-                qcum = np.cumsum(povm.outcome_probabilities(d0_probe))
-                qcum[-1] = 1.0
-                eve_cum[code] = qcum
-                has_probe[code] = True
-    return outcome_cum, eve_cum, has_probe
+def _disclosure_mask(config: SessionConfig) -> np.ndarray:
+    """Check-subset mask drawn from the config's (seed, disclose-stream) generator."""
+    uniforms = philox_stream(config.seed, DISCLOSE_STREAM).random(config.n_rounds)
+    return uniforms < config.check_fraction
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
@@ -284,75 +310,55 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
 
     The log is a pure function of the config: per-round uniforms come from
     the (seed, round-stream) generator and the disclosure mask from the
-    (seed, disclose-stream) generator, so any positive ``workers`` count
-    produces identical results.
+    (seed, disclose-stream) generator.  Blocks of ``SAMPLING_BLOCK`` rounds
+    are mapped on a pool of ``workers`` threads, so any positive worker
+    count produces identical results.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     n = config.n_rounds
+    tables = sampling_tables(config.upsilon)
     u = philox_stream(config.seed, ROUND_STREAM).random((n, 4))
-    alice = (u[:, 0] >= 0.5).astype(np.uint8)
-    bob = (u[:, 1] >= 0.5).astype(np.uint8)
-    pair = alice * 2 + bob
-
-    outcome_cum, eve_cum, has_probe = _sampling_tables(config)
+    alice = np.empty(n, dtype=np.uint8)
+    bob = np.empty(n, dtype=np.uint8)
     outcome = np.empty(n, dtype=np.uint8)
-    eve = np.full(n, _EVE_ABSENT, dtype=np.int8)
-    n_out = len(OUTCOME_ORDER) - 1
-    n_eve = len(EVE_OUTCOME_ORDER) - 1
+    eve = np.empty(n, dtype=np.int8)
 
-    def process(lo: int, hi: int) -> None:
-        pr = pair[lo:hi]
-        out = outcome[lo:hi]
-        ev = eve[lo:hi]
-        for code in range(4):
-            mask = pr == code
-            if not mask.any():
-                continue
-            out[mask] = np.minimum(
-                np.searchsorted(outcome_cum[code], u[lo:hi, 2][mask], side="right"),
-                n_out,
-            )
-            if has_probe[code]:
-                d0 = mask & (out == _D0)
-                ev[d0] = np.minimum(
-                    np.searchsorted(eve_cum[code], u[lo:hi, 3][d0], side="right"),
-                    n_eve,
-                )
+    def map_block(lo: int) -> None:
+        block = slice(lo, min(lo + SAMPLING_BLOCK, n))
+        alice[block] = u[block, 0] >= 0.5
+        bob[block] = u[block, 1] >= 0.5
+        outcome[block], eve[block] = _sample_codes(
+            tables, alice[block] * 2 + bob[block], u[block, 2], u[block, 3]
+        )
 
-    bounds = [(n * w) // workers for w in range(workers + 1)]
-    blocks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(blocks) <= 1:
-        process(0, n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: process(*span), blocks))
-
-    disclosed = philox_stream(config.seed, DISCLOSE_STREAM).random(n) < config.check_fraction
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(map_block, range(0, n, SAMPLING_BLOCK)))
+    del u  # release the uniforms before the disclosure draw allocates its own
     return SessionLog(
         config=config,
         alice=alice,
         bob=bob,
         outcome=outcome,
         eve_result=eve,
-        disclosed=disclosed,
+        disclosed=_disclosure_mask(config),
     )
 
 
-def disclose_check_subset(
-    log: SessionLog, fraction: float, rng: np.random.Generator
-) -> SessionLog:
-    """Return a copy of the log with a freshly drawn uniform check subset."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    disclosed = rng.random(len(log)) < fraction
+def disclose_check_subset(log: SessionLog, fraction: float) -> SessionLog:
+    """Return a copy of the log with the check subset of ``fraction``.
+
+    The mask is the one a fresh session with that check fraction draws, so
+    the copy equals ``run_session`` of its own config.
+    """
+    config = dataclasses.replace(log.config, check_fraction=fraction)
     return SessionLog(
-        config=dataclasses.replace(log.config, check_fraction=fraction),
+        config=config,
         alice=log.alice,
         bob=log.bob,
         outcome=log.outcome,
         eve_result=log.eve_result,
-        disclosed=disclosed,
+        disclosed=_disclosure_mask(config),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Choice, Outcome, OUTCOME_ORDER
-from .protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session, sift
+from .protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session
 
 _REFLECT = CHOICES_BY_CODE.index(Choice.REFLECT)
 _D0 = OUTCOME_ORDER.index(Outcome.D0)
@@ -236,8 +236,3 @@ def sweep_csv(reports: list[SecurityReport]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def qber_from_key(log: SessionLog) -> float:
-    """Positionwise mismatch rate of the sifted key (convenience wrapper)."""
-    return sift(log).mismatch_rate()

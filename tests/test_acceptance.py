@@ -14,9 +14,9 @@ import pytest
 
 from scqkd.cli import main as cli_main
 from scqkd.core import (
+    OUTCOME_ORDER,
     Choice,
     Outcome,
-    born_sample,
     build_povm,
     probe_pair,
     terminal_distribution,
@@ -64,7 +64,7 @@ def attacked_logs():
     }
 
 
-def test_criterion_1_ideal_detection_table():
+def test_criterion_1_ideal_detection_table(draw_pair):
     for (alice, bob), expected in IDEAL_TABLE.items():
         dist = terminal_distribution(alice, bob)
         for outcome, p in expected.items():
@@ -72,12 +72,11 @@ def test_criterion_1_ideal_detection_table():
     n = 100_000
     rng = np.random.default_rng(404)
     for (alice, bob), expected in IDEAL_TABLE.items():
-        dist = terminal_distribution(alice, bob)
-        counts = {o: 0 for o in Outcome}
-        for _ in range(n):
-            counts[born_sample(dist, rng)[0]] += 1
+        codes, _ = draw_pair(alice, bob, None, n, rng)
+        counts = np.bincount(codes, minlength=len(OUTCOME_ORDER))
         for outcome, p in expected.items():
-            assert abs(counts[outcome] / n - p) <= four_sigma(p, n), (alice, bob, outcome)
+            freq = counts[OUTCOME_ORDER.index(outcome)] / n
+            assert abs(freq - p) <= four_sigma(p, n), (alice, bob, outcome)
     print("ACCEPTANCE 1 ideal detection table: PASS")
 
 

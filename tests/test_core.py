@@ -10,12 +10,8 @@ from scqkd.core import (
     Arm,
     Choice,
     JointState,
-    OUTCOME_ORDER,
     Outcome,
-    OutcomeDistribution,
-    OutcomeEntry,
     apply_switch,
-    born_sample,
     build_povm,
     eve_interaction,
     make_initial_state,
@@ -261,44 +257,3 @@ class TestPovm:
     def test_degenerate_and_out_of_range_angles_rejected(self, upsilon):
         with pytest.raises(ValueError, match="upsilon"):
             build_povm(upsilon)
-
-
-class TestBornSample:
-    def test_degenerate_distribution_is_deterministic(self):
-        dist = terminal_distribution(Choice.REFLECT, Choice.REFLECT)
-        rng = np.random.default_rng(3)
-        assert all(born_sample(dist, rng)[0] is Outcome.D1 for _ in range(100))
-
-    def test_fixed_seed_reproduces_the_sequence(self):
-        dist = terminal_distribution(Choice.ABSORB, Choice.REFLECT)
-
-        def draw_sequence(seed):
-            rng = np.random.default_rng(seed)
-            return [born_sample(dist, rng)[0] for _ in range(200)]
-
-        assert draw_sequence(11) == draw_sequence(11)
-
-    def test_million_draws_match_binomial_error(self):
-        dist = terminal_distribution(Choice.REFLECT, Choice.REFLECT, math.pi / 3)
-        rng = np.random.default_rng(2024)
-        n = 1_000_000
-        hits = sum(born_sample(dist, rng)[0] is Outcome.D0 for _ in range(n))
-        sigma = math.sqrt(0.25 * 0.75 / n)
-        assert abs(hits / n - 0.25) <= 4 * sigma
-
-    def test_returns_the_matching_probe(self):
-        dist = terminal_distribution(Choice.ABSORB, Choice.REFLECT, math.pi / 4)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            outcome, probe = born_sample(dist, rng)
-            expected = dist.probe(outcome)
-            np.testing.assert_allclose(probe, expected, atol=ATOL)
-
-    def test_rejects_empty_distribution(self):
-        entries = tuple(
-            OutcomeEntry(o, 1.0 if o is Outcome.D1 else 0.0, None)
-            for o in OUTCOME_ORDER
-        )
-        dist = OutcomeDistribution(entries=entries)
-        rng = np.random.default_rng(1)
-        assert born_sample(dist, rng)[0] is Outcome.D1

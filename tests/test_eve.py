@@ -6,60 +6,49 @@ import numpy as np
 import pytest
 
 from scqkd.core import Choice, Outcome, build_povm, probe_pair, terminal_distribution
-from scqkd.eve import (
-    EveConfig,
-    EveOutcome,
-    eve_guess,
-    eve_information,
-    eve_measure,
-)
+from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_guess, eve_information
 from scqkd.protocol import Announcement, SessionConfig, run_session, sift
 
 UPSILONS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
 
-class TestEveConfig:
-    @pytest.mark.parametrize("upsilon", [0.0, -0.1, math.pi / 2 + 0.01])
-    def test_inactive_or_out_of_range_angles_rejected(self, upsilon):
-        with pytest.raises(ValueError, match="upsilon"):
-            EveConfig(upsilon=upsilon)
-
-    def test_valid_angle_accepted(self):
-        assert EveConfig(upsilon=math.pi / 4).upsilon == math.pi / 4
+PLUS = EVE_OUTCOME_ORDER.index(EveOutcome.PLUS)
 
 
 class TestEveMeasure:
+    # On D0, (Absorb, Reflect) leaves Eve the |+> probe, (Reflect, Absorb) the |-> probe.
+
     @pytest.mark.parametrize("upsilon", UPSILONS)
-    def test_plus_never_fires_on_the_minus_state(self, upsilon):
+    def test_plus_never_fires_on_the_minus_state(self, upsilon, draw_pair):
         povm = build_povm(upsilon)
         _, minus = probe_pair(upsilon)
         probs = povm.outcome_probabilities(minus)
         assert probs[0] == pytest.approx(0.0, abs=1e-12)
         rng = np.random.default_rng(1)
-        assert all(
-            eve_measure(minus, povm, rng) is not EveOutcome.PLUS for _ in range(5_000)
-        )
+        _, eve = draw_pair(Choice.REFLECT, Choice.ABSORB, upsilon, 5_000, rng, given_d0=True)
+        assert (eve >= 0).all()
+        assert not (eve == PLUS).any()
 
     @pytest.mark.parametrize("upsilon", UPSILONS)
-    def test_conclusive_probability_on_plus_state(self, upsilon):
+    def test_conclusive_probability_on_plus_state(self, upsilon, draw_pair):
         povm = build_povm(upsilon)
         plus, _ = probe_pair(upsilon)
         probs = povm.outcome_probabilities(plus)
         assert probs[0] == pytest.approx(1.0 - math.cos(upsilon), abs=1e-12)
         n = 100_000
         rng = np.random.default_rng(2)
-        hits = sum(eve_measure(plus, povm, rng) is EveOutcome.PLUS for _ in range(n))
+        _, eve = draw_pair(Choice.ABSORB, Choice.REFLECT, upsilon, n, rng, given_d0=True)
+        hits = int(np.sum(eve == PLUS))
         p = 1.0 - math.cos(upsilon)
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(hits / n - p) <= 4 * sigma
 
-    def test_orthogonal_probes_are_always_identified(self):
-        povm = build_povm(math.pi / 2)
-        plus, _ = probe_pair(math.pi / 2)
+    def test_orthogonal_probes_are_always_identified(self, draw_pair):
         rng = np.random.default_rng(3)
-        assert all(
-            eve_measure(plus, povm, rng) is EveOutcome.PLUS for _ in range(2_000)
+        _, eve = draw_pair(
+            Choice.ABSORB, Choice.REFLECT, math.pi / 2, 2_000, rng, given_d0=True
         )
+        assert (eve == PLUS).all()
 
 
 class TestEveGuess:

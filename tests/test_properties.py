@@ -1,0 +1,59 @@
+"""Property tests of the columnar session log's invariants."""
+
+import hashlib
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scqkd import protocol
+from scqkd.core import OUTCOME_ORDER, Outcome
+from scqkd.protocol import SessionConfig, run_session, sift
+
+D0 = OUTCOME_ORDER.index(Outcome.D0)
+D1 = OUTCOME_ORDER.index(Outcome.D1)
+
+configs = st.builds(
+    SessionConfig,
+    n_rounds=st.integers(1, 5_000),
+    upsilon=st.none() | st.just(0.0) | st.floats(0.0, math.pi / 2),
+    seed=st.integers(0, 2**64 - 1),
+    check_fraction=st.floats(0.0, 1.0),
+)
+
+
+def column_digest(log) -> str:
+    digest = hashlib.sha256()
+    for col in (log.alice, log.bob, log.outcome, log.eve_result, log.disclosed):
+        digest.update(np.ascontiguousarray(col).tobytes())
+    return digest.hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs)
+def test_log_invariants(config):
+    log = run_session(config)
+    d0 = log.outcome == D0
+    np.testing.assert_array_equal(log.sifted, d0)
+    assert len(sift(log)) == int(np.sum(d0 & ~log.disclosed))
+    np.testing.assert_array_equal(log.eve_result >= 0, d0 & config.attack_active)
+
+    absorb_absorb = (log.alice == 0) & (log.bob == 0)
+    assert not np.any(absorb_absorb & ((log.outcome == D0) | (log.outcome == D1)))
+    if not config.attack_active:
+        assert not np.any((log.alice == 1) & (log.bob == 1) & d0)
+
+    assert sum(log.counters.values()) == config.n_rounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=configs, block=st.integers(1, 2_000))
+def test_worker_and_block_counts_cannot_change_the_log(config, block):
+    reference = run_session(config)
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
+        for workers in range(1, 5):
+            log = run_session(config, workers=workers)
+            assert column_digest(log) == column_digest(reference)
+            assert log.to_json() == reference.to_json()

@@ -1,23 +1,51 @@
 """Unit tests for the session driver, sifting, and serialization."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scqkd.core import Outcome
+from scqkd.core import (
+    ATOL,
+    OUTCOME_ORDER,
+    Choice,
+    Outcome,
+    build_povm,
+    terminal_distribution,
+)
 from scqkd.protocol import (
+    CHOICES_BY_CODE,
     Announcement,
     SessionConfig,
     SessionLog,
+    _sample_codes,
     disclose_check_subset,
-    run_round,
     run_session,
+    sampling_tables,
     sift,
 )
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scalar_draw(probabilities, u: float) -> int:
+    """Reference inverse-CDF draw, one uniform at a time.
+
+    A uniform past the rounded total picks the last possible outcome.
+    """
+    acc = 0.0
+    for code, p in enumerate(probabilities):
+        acc += p
+        if u < acc:
+            return code
+    return max(code for code, p in enumerate(probabilities) if p > 0.0)
 
 
 def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
@@ -37,17 +65,25 @@ def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
 
 
 class TestSessionConfig:
-    def test_zero_rounds_rejected_by_name(self):
+    @pytest.mark.parametrize("n_rounds", [0, True, 2.0])
+    def test_zero_rounds_rejected_by_name(self, n_rounds):
         with pytest.raises(ValueError, match="n_rounds"):
-            SessionConfig(n_rounds=0)
+            SessionConfig(n_rounds=n_rounds)
 
     def test_bad_upsilon_rejected_by_name(self):
         with pytest.raises(ValueError, match="upsilon"):
             SessionConfig(n_rounds=10, upsilon=2.0)
 
-    def test_bad_seed_rejected_by_name(self):
+    @pytest.mark.parametrize("seed", [-1, False, np.bool_(True), 2**64])
+    def test_bad_seed_rejected_by_name(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            SessionConfig(n_rounds=10, seed=-1)
+            SessionConfig(n_rounds=10, seed=seed)
+
+    @pytest.mark.parametrize("integer", [np.int64(3), np.uint64(3), np.uint8(3)])
+    def test_numpy_integers_are_stored_as_int(self, integer):
+        config = SessionConfig(n_rounds=integer, seed=integer)
+        assert type(config.n_rounds) is int and type(config.seed) is int
+        assert config == SessionConfig(n_rounds=3, seed=3)
 
     def test_bad_check_fraction_rejected_by_name(self):
         with pytest.raises(ValueError, match="check_fraction"):
@@ -59,28 +95,82 @@ class TestSessionConfig:
         assert SessionConfig(n_rounds=1, upsilon=0.3).attack_active
 
 
-class TestRunRound:
+class TestSampler:
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
+    def test_codes_match_a_scalar_reference(self, upsilon):
+        povm = build_povm(upsilon) if upsilon else None
+        tables = sampling_tables(upsilon)
+        rng = np.random.default_rng(12)
+        for pair in range(4):
+            dist = terminal_distribution(
+                CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], upsilon
+            )
+            p_outcome = [dist.probability(o) for o in OUTCOME_ORDER]
+            probe = dist.probe(Outcome.D0)
+            p_eve = None if povm is None or probe is None else povm.outcome_probabilities(probe)
+            # Random uniforms plus both ends of [0, 1) and every threshold.
+            edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], tables.outcome_cum.ravel()])
+            u = np.concatenate([rng.random((500, 2)), np.stack([edges, edges[::-1]], 1)])
+            u = u[(u < 1.0).all(1)]
+            outcome, eve = _sample_codes(tables, np.full(len(u), pair), u[:, 0], u[:, 1])
+            for row, (u_outcome, u_eve) in enumerate(u):
+                expected = scalar_draw(p_outcome, u_outcome)
+                assert outcome[row] == expected, (pair, u_outcome)
+                if povm is not None and expected == OUTCOME_ORDER.index(Outcome.D0):
+                    assert eve[row] == scalar_draw(p_eve, u_eve), (pair, u_eve)
+                else:
+                    assert eve[row] == -1
+
+    def test_degenerate_distribution_is_deterministic(self, draw_pair):
+        codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, None, 100, np.random.default_rng(3))
+        assert (codes == OUTCOME_ORDER.index(Outcome.D1)).all()
+
+    def test_fixed_seed_reproduces_the_sequence(self, draw_pair):
+        def draw_sequence(seed):
+            rng = np.random.default_rng(seed)
+            return draw_pair(Choice.ABSORB, Choice.REFLECT, None, 200, rng)[0]
+
+        np.testing.assert_array_equal(draw_sequence(11), draw_sequence(11))
+
+    def test_million_draws_match_binomial_error(self, draw_pair):
+        n = 1_000_000
+        rng = np.random.default_rng(2024)
+        codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, math.pi / 3, n, rng)
+        hits = int(np.sum(codes == OUTCOME_ORDER.index(Outcome.D0)))
+        sigma = math.sqrt(0.25 * 0.75 / n)
+        assert abs(hits / n - 0.25) <= 4 * sigma
+
+    def test_tables_hold_the_matching_probe(self):
+        tables = sampling_tables(math.pi / 4)
+        for pair, probe in enumerate(tables.d0_probes):
+            dist = terminal_distribution(
+                CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], math.pi / 4
+            )
+            expected = dist.probe(Outcome.D0)
+            if expected is None:
+                assert probe is None
+            else:
+                np.testing.assert_allclose(probe, expected, atol=ATOL)
+
+
+class TestRoundView:
     def test_fixed_seed_reproduces_the_record(self):
-        config = SessionConfig(n_rounds=1, seed=5)
-        first = run_round(config, np.random.default_rng(99))
-        second = run_round(config, np.random.default_rng(99))
-        assert first == second
+        config = SessionConfig(n_rounds=50, seed=5)
+        first, second = run_session(config), run_session(config)
+        for i in range(len(first)):
+            assert first.round(i) == second.round(i)
 
     def test_announcement_is_a_function_of_the_outcome(self):
-        config = SessionConfig(n_rounds=1, upsilon=math.pi / 4)
-        rng = np.random.default_rng(17)
-        for i in range(500):
-            rec = run_round(config, rng, round_id=i)
+        log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=17))
+        for i, rec in enumerate(log.iter_rounds()):
             assert rec.round_id == i
             assert (rec.announced is Announcement.D0) == (rec.outcome is Outcome.D0)
             assert rec.sifted == (rec.outcome is Outcome.D0)
 
     def test_eve_data_only_on_attacked_d0_rounds(self):
-        config = SessionConfig(n_rounds=1, upsilon=math.pi / 4)
-        rng = np.random.default_rng(23)
+        log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=23))
         seen_d0 = False
-        for _ in range(500):
-            rec = run_round(config, rng)
+        for rec in log.iter_rounds():
             if rec.outcome is Outcome.D0:
                 seen_d0 = True
                 assert rec.eve_result is not None
@@ -91,11 +181,10 @@ class TestRunRound:
         assert seen_d0
 
     def test_no_eve_round_carries_no_probe(self):
-        config = SessionConfig(n_rounds=1)
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            rec = run_round(config, rng)
+        log = run_session(SessionConfig(n_rounds=100, seed=31))
+        for rec in log.iter_rounds():
             assert rec.eve_result is None
+            assert rec.eve_probe is None
 
 
 class TestRunSession:
@@ -175,16 +264,18 @@ class TestDisclosure:
         assert abs(int(log.disclosed.sum()) - n * 0.1) <= 4 * sigma
 
     def test_redisclosure_replaces_the_subset(self):
-        log = run_session(SessionConfig(n_rounds=10_000, seed=73, check_fraction=0.0))
-        marked = disclose_check_subset(log, 0.5, np.random.default_rng(8))
-        assert marked.config.check_fraction == 0.5
-        assert 0 < marked.disclosed.sum() < len(log)
-        np.testing.assert_array_equal(marked.outcome, log.outcome)
+        config = SessionConfig(n_rounds=10_000, seed=73, check_fraction=0.0)
+        marked = disclose_check_subset(run_session(config), 0.5)
+        fresh = run_session(replace(config, check_fraction=0.5))
+        assert 0 < marked.disclosed.sum() < len(marked)
+        np.testing.assert_array_equal(marked.disclosed, fresh.disclosed)
+        for render in (lambda log: log.to_json(include_rounds=True), SessionLog.to_csv):
+            assert sha256(render(marked)) == sha256(render(fresh))
 
     def test_bad_fraction_rejected(self):
         log = run_session(SessionConfig(n_rounds=10, seed=1))
         with pytest.raises(ValueError, match="fraction"):
-            disclose_check_subset(log, 1.2, np.random.default_rng(0))
+            disclose_check_subset(log, 1.2)
 
 
 class TestSift:
