@@ -1,0 +1,49 @@
+"""Pinned bytes of the CLI's simulate outputs at one fixed configuration.
+
+The digests cover what a user receives from ``scqkd simulate``: the
+``--include-rounds`` JSON artifact, the ``--format csv`` file and the
+report that the CSV run prints to stdout.  A change that alters any byte
+is a behaviour change and must re-pin them on purpose.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+import scqkd.cli as cli
+
+ARGV = ["simulate", "--rounds", "5000", "--upsilon", repr(math.pi / 6), "--seed", "0",
+        "--check-fraction", "0.1"]
+
+JSON_SHA256 = "5cc17006ff9dd86bb6eef5c2b5f7cda8f9481d23d3a85d196270df48372e0b2e"
+CSV_SHA256 = "5630015719ca4e8bc24a3094f8921b973ff6e0c73687d5bbb629f5a406aac26c"
+CSV_REPORT_SHA256 = "6b7fea92107e3da5fed217249ee238d4863e1b3a17f24e12e197296d195f17fc"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def json_artifact(tmp_path_factory) -> bytes:
+    out = tmp_path_factory.mktemp("cli") / "rounds.json"
+    assert cli.main([*ARGV, "--include-rounds", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_include_rounds_json_is_pinned(json_artifact):
+    assert sha256(json_artifact) == JSON_SHA256
+
+
+def test_json_artifact_is_its_own_canonical_encoding(json_artifact):
+    text = json_artifact.decode()
+    assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
+
+
+def test_csv_file_and_printed_report_are_pinned(tmp_path, capsys):
+    out = tmp_path / "rounds.csv"
+    assert cli.main([*ARGV, "--format", "csv", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == CSV_SHA256
+    assert sha256(capsys.readouterr().out.encode()) == CSV_REPORT_SHA256
