@@ -164,16 +164,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one session, estimate security quantities, write both artifacts."""
     values = _resolve(args)
     cfg = _run_config(values)
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {cfg.workers}")
     log = run_session(cfg.session_config(), workers=cfg.workers)
     report = estimate_from_session(log)
     if cfg.output_format == "json":
-        doc = {
-            "session": json.loads(log.to_json(include_rounds=args.include_rounds)),
-            "report": report.as_dict(),
-        }
-        _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.output_path)
+        # Both parts are canonical documents and "report" sorts before "session".
+        session = log.to_json(include_rounds=args.include_rounds)
+        _write_output(
+            "".join(('{"report":', report.to_json()[:-1], ',"session":', session[:-1], "}\n")),
+            cfg.output_path,
+        )
     else:
         _write_output(log.to_csv(), cfg.output_path)
         sys.stdout.write(report.to_json())

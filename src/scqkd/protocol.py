@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +53,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for integers and floats, numpy's included; bool is a flag, not a number."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Physical session parameters; echoed verbatim into every artifact."""
@@ -66,15 +70,20 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not _is_integer(self.n_rounds) or self.n_rounds < 1:
             raise ValueError(f"n_rounds must be a positive integer, got {self.n_rounds!r}")
-        if self.upsilon is not None and not 0.0 <= self.upsilon <= math.pi / 2:
-            raise ValueError(f"upsilon must lie in [0, pi/2] or be absent, got {self.upsilon}")
+        if self.upsilon is not None and not (
+            _is_real(self.upsilon) and 0.0 <= self.upsilon <= math.pi / 2
+        ):
+            raise ValueError(f"upsilon must lie in [0, pi/2] or be absent, got {self.upsilon!r}")
         if not _is_integer(self.seed) or not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        # numpy integers are stored as int so that artifacts serialize them.
+        if not _is_real(self.check_fraction) or not 0.0 <= self.check_fraction <= 1.0:
+            raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
+        # Stored as Python numbers so that equal configs serialize to equal bytes.
         object.__setattr__(self, "n_rounds", int(self.n_rounds))
         object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 <= self.check_fraction <= 1.0:
-            raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction}")
+        if self.upsilon is not None:
+            object.__setattr__(self, "upsilon", float(self.upsilon))
+        object.__setattr__(self, "check_fraction", float(self.check_fraction))
 
     @property
     def attack_active(self) -> bool:
@@ -177,6 +186,16 @@ def _sample_codes(
     return outcome, eve
 
 
+#: Lowest and highest code of each log column; rows are rendered by code.
+_COLUMN_CODES = {
+    "alice": (0, 1),
+    "bob": (0, 1),
+    "outcome": (0, len(OUTCOME_ORDER) - 1),
+    "eve_result": (_EVE_ABSENT, len(EVE_OUTCOME_ORDER) - 1),
+    "disclosed": (0, 1),
+}
+
+
 @dataclass
 class SessionLog:
     """Columnar record of a whole session plus per-cell counters.
@@ -196,10 +215,12 @@ class SessionLog:
 
     def __post_init__(self) -> None:
         n = self.config.n_rounds
-        for name in ("alice", "bob", "outcome", "eve_result", "disclosed"):
+        for name, (lowest, highest) in _COLUMN_CODES.items():
             col = getattr(self, name)
             if len(col) != n:
                 raise ValueError(f"column {name} has {len(col)} rows, config says {n}")
+            if col.min() < lowest or col.max() > highest:
+                raise ValueError(f"column {name} holds codes outside [{lowest}, {highest}]")
 
     def __len__(self) -> int:
         return self.config.n_rounds
@@ -252,22 +273,19 @@ class SessionLog:
         for i in range(len(self)):
             yield self.round(i)
 
-    def _round_dicts(self) -> list[dict]:
-        rows = []
-        for rec in self.iter_rounds():
-            rows.append(
-                {
-                    "round_id": rec.round_id,
-                    "alice": rec.alice_choice.value,
-                    "bob": rec.bob_choice.value,
-                    "outcome": rec.outcome.value,
-                    "announced": rec.announced.value,
-                    "eve_result": rec.eve_result.value if rec.eve_result else None,
-                    "sifted": rec.sifted,
-                    "disclosed": rec.disclosed_for_check,
-                }
-            )
-        return rows
+    def _row_parts(self, fmt: str) -> list[str]:
+        """Head, round id and tail of every round's row in ``fmt``, in round order."""
+        heads, tails = _row_templates(self.config.upsilon, fmt)
+        codes = (
+            (((self.alice.astype(np.intp) * 2 + self.bob) * 4 + self.outcome) * 4
+             + self.eve_result + 1) * 2 + self.disclosed
+        )
+        n = len(codes)
+        parts = [""] * (3 * n)
+        parts[0::3] = heads[codes].tolist()
+        parts[1::3] = map(str, range(n))
+        parts[2::3] = tails[codes].tolist()
+        return parts
 
     def to_json(self, include_rounds: bool = False) -> str:
         """Serialize to a canonical JSON document (stable bytes per config)."""
@@ -275,28 +293,78 @@ class SessionLog:
             "config": self.config.as_dict(),
             "counters": {",".join(k): v for k, v in self.counters.items()},
         }
-        if include_rounds:
-            doc["rounds"] = self._round_dicts()
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        if not include_rounds:
+            return text + "\n"
+        # "rounds" sorts after "config" and "counters", so the rows close the document.
+        parts = self._row_parts("json")
+        parts[0] = text[:-1] + ',"rounds":[' + parts[0][1:]  # no comma before the first row
+        parts.append("]}\n")
+        return "".join(parts)
 
     def to_csv(self) -> str:
         """Per-round CSV with one row per round."""
-        buf = io.StringIO()
-        buf.write("round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n")
-        for row in self._round_dicts():
-            buf.write(
-                "{round_id},{alice},{bob},{outcome},{announced},{eve},{sifted},{disclosed}\n".format(
-                    round_id=row["round_id"],
-                    alice=row["alice"],
-                    bob=row["bob"],
-                    outcome=row["outcome"],
-                    announced=row["announced"],
-                    eve=row["eve_result"] or "",
-                    sifted=str(row["sifted"]).lower(),
-                    disclosed=str(row["disclosed"]).lower(),
-                )
-            )
-        return buf.getvalue()
+        parts = self._row_parts("csv")
+        parts.insert(0, "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n")
+        return "".join(parts)
+
+
+#: Distinct rows up to the round id; round i has row code
+#: ((((alice * 2 + bob) * 4 + outcome) * 4 + eve + 1) * 2 + disclosed).
+_ROW_CODES = 128
+#: Stands in for the round id while a template row is rendered.
+_ROUND_ID_MARK = 2**64
+
+
+def _json_row(row: dict) -> str:
+    """An element of the rounds array, after the comma that separates it from the last."""
+    return "," + json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+def _csv_row(row: dict) -> str:
+    """A CSV line of the row's values: None is empty and booleans are lower case."""
+    cells = ("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+             for v in row.values())
+    return ",".join(cells) + "\n"
+
+
+_ROW_FORMATS = {"json": _json_row, "csv": _csv_row}
+
+
+@functools.lru_cache(maxsize=64)
+def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Text before and after the round id of each row code in ``fmt``, by row code.
+
+    Each code's row is rendered once, from the record ``SessionLog.round``
+    gives for it, with a marker in place of the round id.
+    """
+    code = np.arange(_ROW_CODES)
+    log = SessionLog(
+        config=SessionConfig(n_rounds=_ROW_CODES, upsilon=upsilon),
+        alice=code >> 6,
+        bob=code >> 5 & 1,
+        outcome=code >> 3 & 3,
+        eve_result=(code >> 1 & 3) - 1,
+        disclosed=(code & 1).astype(bool),
+    )
+    render = _ROW_FORMATS[fmt]
+    split = [
+        render({
+            "round_id": _ROUND_ID_MARK,
+            "alice": rec.alice_choice.value,
+            "bob": rec.bob_choice.value,
+            "outcome": rec.outcome.value,
+            "announced": rec.announced.value,
+            "eve_result": rec.eve_result.value if rec.eve_result else None,
+            "sifted": rec.sifted,
+            "disclosed": rec.disclosed_for_check,
+        }).partition(str(_ROUND_ID_MARK))
+        for rec in log.iter_rounds()
+    ]
+    heads = np.array([head for head, _, _ in split], dtype=object)
+    tails = np.array([tail for _, _, tail in split], dtype=object)
+    heads.flags.writeable = tails.flags.writeable = False  # shared through the cache
+    return heads, tails
 
 
 def _disclosure_mask(config: SessionConfig) -> np.ndarray:

@@ -180,6 +180,12 @@ class TestConfigHandling:
     def test_invalid_rounds_is_a_config_error(self):
         assert run_cli("simulate", "--rounds", "0") == 2
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "0.5"]])
+    def test_zero_workers_is_a_config_error(self, command, tmp_path):
+        out = tmp_path / "never.json"
+        assert run_cli(*command, "--rounds", "1000", "--workers", "0", "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_invalid_upsilon_is_a_config_error(self):
         assert run_cli("simulate", "--rounds", "100", "--upsilon", "3.0") == 2
 

@@ -89,10 +89,55 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="check_fraction"):
             SessionConfig(n_rounds=10, check_fraction=1.5)
 
+    @pytest.mark.parametrize("field", ["upsilon", "check_fraction"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", float("nan")])
+    def test_non_numbers_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SessionConfig(n_rounds=10, **{field: value})
+
+    @pytest.mark.parametrize(
+        "upsilon, check_fraction",
+        [(1, 1), (np.float32(0.5), np.float64(0.25)), (np.int64(1), np.uint8(0)), (0, 1.0)],
+    )
+    def test_numeric_fields_are_stored_as_float(self, upsilon, check_fraction):
+        config = SessionConfig(n_rounds=10, upsilon=upsilon, check_fraction=check_fraction)
+        assert type(config.upsilon) is float and type(config.check_fraction) is float
+        plain = SessionConfig(
+            n_rounds=10, upsilon=float(upsilon), check_fraction=float(check_fraction)
+        )
+        assert config == plain
+        assert run_session(config).to_json() == run_session(plain).to_json()
+
     def test_attack_active_only_for_positive_upsilon(self):
         assert not SessionConfig(n_rounds=1).attack_active
         assert not SessionConfig(n_rounds=1, upsilon=0.0).attack_active
         assert SessionConfig(n_rounds=1, upsilon=0.3).attack_active
+
+
+class TestSessionLogColumns:
+    @staticmethod
+    def columns(n=2):
+        return {
+            "alice": np.zeros(n, np.uint8), "bob": np.ones(n, np.uint8),
+            "outcome": np.zeros(n, np.uint8), "eve_result": np.full(n, -1, np.int8),
+            "disclosed": np.zeros(n, np.uint8),
+        }
+
+    def test_wrong_length_rejected_by_name(self):
+        columns = dict(self.columns(), bob=np.zeros(1, np.uint8))
+        with pytest.raises(ValueError, match="column bob has 1 rows"):
+            SessionLog(config=SessionConfig(n_rounds=2), **columns)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alice", 2), ("bob", 2), ("outcome", 4), ("eve_result", 3), ("eve_result", -2),
+         ("disclosed", 2)],
+    )
+    def test_out_of_range_codes_rejected_by_name(self, name, value):
+        columns = self.columns()
+        columns[name][0] = value
+        with pytest.raises(ValueError, match=f"column {name} holds codes"):
+            SessionLog(config=SessionConfig(n_rounds=2), **columns)
 
 
 class TestSampler:

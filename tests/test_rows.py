@@ -1,0 +1,143 @@
+"""Per-round JSON and CSV rows against a reference renderer built on ``round(i)``.
+
+``to_json(include_rounds=True)`` and ``to_csv()`` render rows from
+templates precomputed per row code.  The reference below formats each row
+from the ``RoundRecord`` that ``SessionLog.round`` materializes, one dict
+per round, as the serializers did before the templates.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
+from scqkd.protocol import SessionConfig, SessionLog, run_session, sampling_tables
+
+UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
+CHECK_FRACTIONS = [0.0, 0.5, 1.0]
+ROUNDS = 5_000
+D0 = OUTCOME_ORDER.index(Outcome.D0)
+
+
+def reference_rows(log) -> list[dict]:
+    return [
+        {
+            "round_id": rec.round_id,
+            "alice": rec.alice_choice.value,
+            "bob": rec.bob_choice.value,
+            "outcome": rec.outcome.value,
+            "announced": rec.announced.value,
+            "eve_result": rec.eve_result.value if rec.eve_result else None,
+            "sifted": rec.sifted,
+            "disclosed": rec.disclosed_for_check,
+        }
+        for rec in log.iter_rounds()
+    ]
+
+
+def reference_json(log) -> str:
+    doc = {
+        "config": log.config.as_dict(),
+        "counters": {",".join(k): v for k, v in log.counters.items()},
+        "rounds": reference_rows(log),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_csv_lines(log) -> list[str]:
+    lines = ["round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed"]
+    for row in reference_rows(log):
+        lines.append(
+            f"{row['round_id']},{row['alice']},{row['bob']},{row['outcome']},"
+            f"{row['announced']},{row['eve_result'] or ''},"
+            f"{str(row['sifted']).lower()},{str(row['disclosed']).lower()}"
+        )
+    return lines
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Equality that reports the first differing character, not a full diff."""
+    if actual == expected:
+        return
+    at = next(
+        (i for i, (a, e) in enumerate(zip(actual, expected)) if a != e),
+        min(len(actual), len(expected)),
+    )
+    window = slice(max(at - 120, 0), at + 120)
+    pytest.fail(f"texts differ at {at}: {actual[window]!r} != {expected[window]!r}")
+
+
+def assert_rows_match_reference(log) -> None:
+    assert_same_text(log.to_json(include_rounds=True), reference_json(log))
+    assert_same_text(log.to_csv(), "\n".join(reference_csv_lines(log)) + "\n")
+
+
+def reachable_combinations(upsilon) -> set[tuple[int, int, int, int]]:
+    """(alice, bob, outcome, eve) codes of positive probability at one angle."""
+    tables = sampling_tables(upsilon)
+    p_outcome = np.diff(tables.outcome_cum, prepend=0.0, axis=1)
+    p_eve = None if tables.eve_cum is None else np.diff(tables.eve_cum, prepend=0.0, axis=1)
+    combos = set()
+    for pair in range(4):
+        for outcome in np.flatnonzero(p_outcome[pair] > ATOL):
+            if p_eve is not None and outcome == D0:
+                eves = np.flatnonzero(p_eve[pair] > ATOL)
+            else:
+                eves = [-1]
+            combos.update((pair >> 1, pair & 1, int(outcome), int(e)) for e in eves)
+    return combos
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    return {
+        (upsilon, fraction): run_session(
+            SessionConfig(ROUNDS, upsilon=upsilon, seed=99, check_fraction=fraction)
+        )
+        for upsilon in UPSILONS
+        for fraction in CHECK_FRACTIONS
+    }
+
+
+@pytest.mark.parametrize("fraction", CHECK_FRACTIONS)
+@pytest.mark.parametrize("upsilon", UPSILONS)
+def test_rows_match_the_reference(sessions, upsilon, fraction):
+    assert_rows_match_reference(sessions[upsilon, fraction])
+
+
+def test_sessions_cover_every_reachable_row(sessions):
+    reachable = {
+        (*combo, disclosed)
+        for upsilon in UPSILONS
+        for combo in reachable_combinations(upsilon)
+        for disclosed in (0, 1)
+    }
+    seen = set()
+    for log in sessions.values():
+        columns = (log.alice, log.bob, log.outcome, log.eve_result, log.disclosed)
+        seen.update(zip(*(col.astype(int).tolist() for col in columns)))
+    assert seen == reachable
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 2_000),
+    upsilon=st.sampled_from(UPSILONS) | st.floats(0.0, math.pi / 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_columns_render_like_the_reference(n, upsilon, seed):
+    """Uniformly random codes, reachable or not, as a hand-built log may hold."""
+    rng = np.random.default_rng(seed)
+    log = SessionLog(
+        config=SessionConfig(n, upsilon=upsilon),
+        alice=rng.integers(0, 2, n, dtype=np.uint8),
+        bob=rng.integers(0, 2, n, dtype=np.uint8),
+        outcome=rng.integers(0, 4, n, dtype=np.uint8),
+        eve_result=rng.integers(-1, 3, n, dtype=np.int8),
+        disclosed=rng.random(n) < 0.5,
+    )
+    assert_rows_match_reference(log)
