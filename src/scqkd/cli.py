@@ -1,10 +1,13 @@
 """Command-line harness: simulate, sweep, threshold and ontology commands.
 
-Configuration comes from (highest precedence first) command-line flags, a
-flat ``key = value`` config file, the CQCSIM_SEED environment variable for
-the seed, and built-in defaults.  Angles are radians unless --degrees is
-given.  Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 integrity violation.
+Every option is one row of ``OPTIONS``: its converter from text, its
+default, the commands that read it and its help text.  A command accepts
+only the flags it reads.  Values are layered as text (lowest precedence
+first): built-in default, the CQCSIM_SEED environment variable for the
+seed, a flat ``key = value`` config file, command-line flags; each value
+the command reads is then converted once.  Angles are radians unless
+--degrees is given.  Exit codes: 0 success, 2 configuration error, 3 I/O
+error, 4 integrity violation.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
 from .protocol import SessionConfig, run_session
@@ -33,39 +36,58 @@ EXIT_INTEGRITY = 4
 
 SEED_ENV_VAR = "CQCSIM_SEED"
 
-_DEFAULTS = {
-    "rounds": 100_000,
-    "upsilon": None,
-    "seed": 0,
-    "check_fraction": 0.1,
-    "workers": 1,
-    "format": "json",
-    "out": None,
-    "grid": None,
-    "tolerance": 1e-9,
-    "degrees": False,
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _TRUE + _FALSE:
+        raise ValueError(f"expected one of {'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {text!r}")
+    return word in _TRUE
+
+
+def _output_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"format must be 'json' or 'csv', got {text!r}")
+    return text
+
+
+def _parse_grid(spec: str) -> list[float]:
+    items = [s for s in (part.strip() for part in spec.split(",")) if s]
+    try:
+        return [float(s) for s in items]
+    except ValueError as exc:
+        raise ValueError(f"grid must be comma-separated numbers, got {spec!r}") from exc
+
+
+class Option(NamedTuple):
+    convert: Callable[[str], object]
+    default: object
+    commands: tuple[str, ...]
+    help: str
+
+
+_SESSION = ("simulate", "sweep")
+
+OPTIONS = {
+    "rounds": Option(int, 100_000, _SESSION, "number of protocol rounds"),
+    "upsilon": Option(float, None, ("simulate",), "attack probe angle"),
+    "seed": Option(int, 0, _SESSION, f"64-bit seed (fallback: ${SEED_ENV_VAR})"),
+    "check_fraction": Option(float, 0.1, _SESSION, "fraction of rounds disclosed for checking"),
+    "workers": Option(int, 1, _SESSION, "worker count (never changes results)"),
+    "format": Option(_output_format, "json", ("simulate", "sweep", "ontology"),
+                     "output format: json or csv"),
+    "out": Option(str, None, ("simulate", "sweep", "threshold", "ontology"),
+                  "output path (default: stdout)"),
+    "degrees": Option(_boolean, False, _SESSION, "interpret angles as degrees"),
+    "grid": Option(_parse_grid, None, ("sweep",), "comma-separated probe angles"),
+    "tolerance": Option(float, 1e-9, ("threshold",), "residual tolerance (default 1e-9)"),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation parameters."""
-
-    n_rounds: int
-    upsilon: float | None
-    seed: int
-    check_fraction: float
-    workers: int
-    output_format: str
-    output_path: str | None
-
-    def session_config(self) -> SessionConfig:
-        return SessionConfig(
-            n_rounds=self.n_rounds,
-            upsilon=self.upsilon,
-            seed=self.seed,
-            check_fraction=self.check_fraction,
-        )
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -79,77 +101,41 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
+            if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
 
 
-_CONVERTERS = {
-    "rounds": int,
-    "upsilon": float,
-    "seed": int,
-    "check_fraction": float,
-    "workers": int,
-    "format": str,
-    "out": str,
-    "tolerance": float,
-    "grid": str,
-    "degrees": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over the env seed over defaults."""
-    values = dict(_DEFAULTS)
-    file_values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            try:
-                file_values[key] = _CONVERTERS[key](raw)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
+    """The options ``args.command`` reads: the top text layer of each, converted once."""
+    text: dict[str, tuple[str, str]] = {}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
+        text["seed"] = (SEED_ENV_VAR, env_seed)
+    if args.config:
+        for key, raw in _read_config_file(args.config).items():
+            text[key] = (f"config key {key!r}", raw)
+    values = {}
+    for key, option in OPTIONS.items():
+        if args.command not in option.commands:
+            continue
+        if getattr(args, key) is not None:
+            text[key] = (_flag(key), getattr(args, key))
+        if key not in text:
+            values[key] = option.default
+            continue
+        source, raw = text[key]
         try:
-            values["seed"] = int(env_seed)
+            values[key] = option.convert(raw)
         except ValueError as exc:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    values.update(file_values)
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if values["grid"] is not None and isinstance(values["grid"], str):
-        values["grid"] = _parse_grid(values["grid"])
-    if values["degrees"]:
-        if values["upsilon"] is not None:
+            raise ValueError(f"{source}: {exc}") from exc
+    if values.get("degrees"):
+        if values.get("upsilon") is not None:
             values["upsilon"] = math.radians(values["upsilon"])
-        if values["grid"] is not None:
+        if values.get("grid") is not None:
             values["grid"] = [math.radians(v) for v in values["grid"]]
-    if values["format"] not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {values['format']!r}")
     return values
-
-
-def _parse_grid(spec: str) -> list[float]:
-    items = [s for s in (part.strip() for part in spec.split(",")) if s]
-    try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise ValueError(f"grid must be comma-separated numbers, got {spec!r}") from exc
-
-
-def _run_config(values: dict) -> RunConfig:
-    return RunConfig(
-        n_rounds=values["rounds"],
-        upsilon=values["upsilon"],
-        seed=values["seed"],
-        check_fraction=values["check_fraction"],
-        workers=values["workers"],
-        output_format=values["format"],
-        output_path=values["out"],
-    )
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -163,18 +149,23 @@ def _write_output(text: str, path: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one session, estimate security quantities, write both artifacts."""
     values = _resolve(args)
-    cfg = _run_config(values)
-    log = run_session(cfg.session_config(), workers=cfg.workers)
+    config = SessionConfig(
+        n_rounds=values["rounds"],
+        upsilon=values["upsilon"],
+        seed=values["seed"],
+        check_fraction=values["check_fraction"],
+    )
+    log = run_session(config, workers=values["workers"])
     report = estimate_from_session(log)
-    if cfg.output_format == "json":
+    if values["format"] == "json":
         # Both parts are canonical documents and "report" sorts before "session".
         session = log.to_json(include_rounds=args.include_rounds)
         _write_output(
             "".join(('{"report":', report.to_json()[:-1], ',"session":', session[:-1], "}\n")),
-            cfg.output_path,
+            values["out"],
         )
     else:
-        _write_output(log.to_csv(), cfg.output_path)
+        _write_output(log.to_csv(), values["out"])
         sys.stdout.write(report.to_json())
     return EXIT_OK
 
@@ -182,25 +173,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run one session per grid angle and emit the security curve."""
     values = _resolve(args)
-    cfg = _run_config(values)
-    if values["grid"] is None:
-        raise ValueError("sweep requires --grid (comma-separated angles)")
     grid = values["grid"]
+    if grid is None:
+        raise ValueError("sweep requires --grid (comma-separated angles)")
     for v in grid:
         if not 0.0 <= v <= math.pi / 2:
             raise ValueError(f"grid angle must lie in [0, pi/2], got {v}")
     reports = sweep_reports(
         grid,
-        n_rounds=cfg.n_rounds,
-        seed=cfg.seed,
-        check_fraction=cfg.check_fraction,
-        workers=cfg.workers,
+        n_rounds=values["rounds"],
+        seed=values["seed"],
+        check_fraction=values["check_fraction"],
+        workers=values["workers"],
     )
-    if cfg.output_format == "json":
+    if values["format"] == "json":
         doc = [r.as_dict() for r in reports]
-        _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.output_path)
+        _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", values["out"])
     else:
-        _write_output(sweep_csv(reports), cfg.output_path)
+        _write_output(sweep_csv(reports), values["out"])
     return EXIT_OK
 
 
@@ -236,39 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semi-counterfactual quantum key distribution simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--rounds", type=int, help="number of protocol rounds")
-        p.add_argument("--upsilon", type=float, help="attack probe angle")
-        p.add_argument("--seed", type=int, help=f"64-bit seed (fallback: ${SEED_ENV_VAR})")
-        p.add_argument("--check-fraction", dest="check_fraction", type=float,
-                       help="fraction of rounds disclosed for checking")
-        p.add_argument("--workers", type=int, help="worker count (never changes results)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--degrees", action="store_true", default=None,
-                       help="interpret angles as degrees")
-
-    sim = sub.add_parser("simulate", help="run one session and its security report")
-    add_common(sim)
-    sim.add_argument("--include-rounds", action="store_true",
-                     help="embed the per-round array in the session JSON")
-    sim.set_defaults(func=cmd_simulate)
-
-    swp = sub.add_parser("sweep", help="security curve over a grid of probe angles")
-    add_common(swp)
-    swp.add_argument("--grid", help="comma-separated probe angles")
-    swp.set_defaults(func=cmd_sweep)
-
-    thr = sub.add_parser("threshold", help="solve the key-rate security threshold")
-    add_common(thr)
-    thr.add_argument("--tolerance", type=float, help="residual tolerance (default 1e-9)")
-    thr.set_defaults(func=cmd_threshold)
-
-    ont = sub.add_parser("ontology", help="classify the canonical scenarios")
-    add_common(ont)
-    ont.set_defaults(func=cmd_ontology)
+    commands = (
+        ("simulate", cmd_simulate, "run one session and its security report"),
+        ("sweep", cmd_sweep, "security curve over a grid of probe angles"),
+        ("threshold", cmd_threshold, "solve the key-rate security threshold"),
+        ("ontology", cmd_ontology, "classify the canonical scenarios"),
+    )
+    for name, func, help_text in commands:
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", help="flat key = value config file")
+        for key, option in OPTIONS.items():
+            if name not in option.commands:
+                continue
+            if option.convert is _boolean:
+                cmd.add_argument(_flag(key), dest=key, action="store_const", const="true",
+                                 help=option.help)
+            else:
+                cmd.add_argument(_flag(key), dest=key, help=option.help)
+        if name == "simulate":
+            cmd.add_argument("--include-rounds", action="store_true",
+                             help="embed the per-round array in the session JSON")
+        cmd.set_defaults(func=func)
     return parser
 
 

@@ -69,7 +69,7 @@ def solve_threshold(tolerance: float = 1e-9) -> tuple[float, float]:
     end and positive at the right; iterates until the residual is within
     ``tolerance``.  Returns (v_star, epsilon_star).
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     lo, hi = 0.5, 0.9
     f_lo, f_hi = key_rate(lo), key_rate(hi)

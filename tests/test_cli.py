@@ -228,6 +228,142 @@ class TestConfigHandling:
         cfg.write_text("bogus = 1\n")
         assert run_cli("simulate", "--config", str(cfg)) == 2
 
-    def test_bad_env_seed_is_a_config_error(self, monkeypatch):
+    def test_bad_env_seed_is_a_config_error(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
         assert run_cli("simulate", "--rounds", "5000") == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {cli.SEED_ENV_VAR}:")
+
+    def test_bad_format_is_a_config_error(self, capsys):
+        assert run_cli("ontology", "--format", "xml") == 2
+        assert "format must be 'json' or 'csv'" in capsys.readouterr().err
+
+    def test_nan_tolerance_is_a_config_error(self, capsys):
+        assert run_cli("threshold", "--tolerance", "nan") == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+
+
+#: The flags each command accepts besides --config, as listed in the README.
+COMMAND_FLAGS = {
+    "simulate": {"--rounds", "--upsilon", "--seed", "--check-fraction", "--workers",
+                 "--format", "--out", "--degrees", "--include-rounds"},
+    "sweep": {"--rounds", "--seed", "--check-fraction", "--workers", "--format", "--out",
+              "--degrees", "--grid"},
+    "threshold": {"--tolerance", "--out"},
+    "ontology": {"--format", "--out"},
+}
+
+#: Per option: a command that reads it and a text value that differs from its default.
+SAMPLES = {
+    "rounds": ("simulate", "10000"),
+    "upsilon": ("simulate", "0.5"),
+    "seed": ("sweep", "11"),
+    "check_fraction": ("simulate", "0.3"),
+    "workers": ("sweep", "2"),
+    "format": ("ontology", "csv"),
+    "out": ("threshold", None),
+    "degrees": ("simulate", "true"),
+    "grid": ("sweep", "0.1,0.2"),
+    "tolerance": ("threshold", "1e-4"),
+}
+
+#: Flags every run of a command gets unless the option under test replaces them.
+BASE = {
+    "simulate": {"rounds": "8000", "upsilon": "0.25"},
+    "sweep": {"rounds": "8000", "grid": "0.3"},
+    "threshold": {},
+    "ontology": {},
+}
+
+
+class TestOptionTable:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(commands) == set(COMMAND_FLAGS)
+        for name, command in commands.items():
+            flags = {s for a in command._actions for s in a.option_strings if s.startswith("--")}
+            assert flags == COMMAND_FLAGS[name] | {"--help", "--config"}, name
+
+    def test_samples_cover_the_table(self):
+        assert set(SAMPLES) == set(cli.OPTIONS)
+        for key, (command, _) in SAMPLES.items():
+            assert command in cli.OPTIONS[key].commands
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "0.5", "--upsilon", "0.5"],
+        ["threshold", "--rounds", "0"],
+        ["ontology", "--degrees"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(SAMPLES))
+    def test_flag_and_config_key_give_the_same_bytes(self, key, tmp_path, capsys):
+        command, value = SAMPLES[key]
+        out = tmp_path / "out.txt"
+        value = str(out) if value is None else value
+        base = [command]
+        for k, v in BASE[command].items():
+            if k != key:
+                base += [cli._flag(k), v]
+        if key != "out":
+            base += ["--out", str(out)]
+        flag = [cli._flag(key)] if key == "degrees" else [cli._flag(key), value]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+
+        runs = [base + flag, base + ["--config", str(cfg)]]
+        if key != "grid":  # sweep has no default grid
+            runs.append(base)
+        outputs = []
+        for argv in runs:
+            assert run_cli(*argv) == 0
+            outputs.append((out.read_bytes() if out.exists() else None,
+                            capsys.readouterr().out))
+            out.unlink(missing_ok=True)
+        assert outputs[0] == outputs[1]
+        if key != "grid":
+            # The worker count never changes results; every other option does.
+            assert (outputs[0] == outputs[2]) == (key == "workers")
+
+    @pytest.mark.parametrize("spelling, flagged", [
+        ("1", True), ("true", True), ("YES", True), ("On", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_config_boolean_spellings(self, spelling, flagged, tmp_path):
+        cfg, by_flag, by_file = tmp_path / "run.cfg", tmp_path / "a.json", tmp_path / "b.json"
+        cfg.write_text(f"degrees = {spelling}\n")
+        base = ["simulate", "--rounds", "8000", "--upsilon", "1"]
+        assert run_cli(*base, *(["--degrees"] if flagged else []), "--out", str(by_flag)) == 0
+        assert run_cli(*base, "--config", str(cfg), "--out", str(by_file)) == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
+
+    @pytest.mark.parametrize("spelling", ["ture", "y", "", "2"])
+    def test_config_boolean_typo_is_a_config_error(self, spelling, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"upsilon = 1\ndegrees = {spelling}\n")
+        out = tmp_path / "never.json"
+        assert run_cli("simulate", "--rounds", "8000", "--config", str(cfg),
+                       "--out", str(out)) == 2
+        assert "config key 'degrees'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_value_fails_the_same_from_flag_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rounds = abc\n")
+        assert run_cli("simulate", "--rounds", "abc") == 2
+        from_flag = capsys.readouterr().err
+        assert from_flag.startswith("configuration error: --rounds:")
+        assert run_cli("simulate", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == from_flag.replace("--rounds", "config key 'rounds'")
+
+    def test_file_keys_of_other_commands_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("rounds = 2000\ngrid = 0.1\ntolerance = 1e-4\n")
+        assert run_cli("threshold", "--config", str(cfg)) == 0
+        from_file = capsys.readouterr().out
+        assert run_cli("threshold", "--tolerance", "1e-4") == 0
+        assert capsys.readouterr().out == from_file

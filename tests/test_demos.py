@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke test: every demo script and the README quick start run against the source tree."""
 
 import os
 import subprocess
@@ -23,3 +23,21 @@ def test_demo_exits_cleanly(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def readme_quick_start() -> str:
+    """The python block under README's "Library quick start" heading."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    code = readme_quick_start()
+    assert "from scqkd import" in code
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.strip().split("\n")) == 2

@@ -138,6 +138,11 @@ class TestThreshold:
         with pytest.raises(ValueError, match="tolerance"):
             solve_threshold(0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-9])
+    def test_nan_and_negative_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_threshold(tolerance)
+
 
 class TestEstimateFromSession:
     def test_ideal_session_has_unit_visibility_and_no_errors(self):
