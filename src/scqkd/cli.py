@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
-from .protocol import SessionConfig, run_session
+from .protocol import SessionConfig, run_session, summarize_session
 from .security import (
     InsufficientCheckDataError,
     estimate_from_session,
@@ -138,12 +138,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     return values
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(path: str | None, *parts: str) -> None:
+    """Write ``parts`` in order: to stdout as text, or to the file as UTF-8.
+
+    A file gets each part encoded once and written as bytes, so a large
+    document is never joined or copied by a text writer.
+    """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8"))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -155,18 +162,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=values["seed"],
         check_fraction=values["check_fraction"],
     )
-    log = run_session(config, workers=values["workers"])
-    report = estimate_from_session(log)
-    if values["format"] == "json":
-        # Both parts are canonical documents and "report" sorts before "session".
-        session = log.to_json(include_rounds=args.include_rounds)
-        _write_output(
-            "".join(('{"report":', report.to_json()[:-1], ',"session":', session[:-1], "}\n")),
-            values["out"],
-        )
+    if values["format"] == "csv" or args.include_rounds:
+        session = run_session(config, workers=values["workers"])
     else:
-        _write_output(log.to_csv(), values["out"])
+        # A report-only session keeps only its histogram of row codes.
+        session = summarize_session(config, workers=values["workers"])
+    report = estimate_from_session(session)
+    if values["format"] == "csv":
+        _write_output(values["out"], session.to_csv())
         sys.stdout.write(report.to_json())
+        return EXIT_OK
+    # Both parts are canonical documents and "report" sorts before "session".
+    # Each drops its newline as it is made, so only one copy of the session
+    # text is alive while the document is written.
+    if args.include_rounds:
+        session_json = session.to_json(include_rounds=True)[:-1]
+    else:
+        session_json = session.to_json()[:-1]
+    _write_output(values["out"], '{"report":', report.to_json()[:-1], ',"session":',
+                  session_json, "}\n")
     return EXIT_OK
 
 
@@ -188,9 +202,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if values["format"] == "json":
         doc = [r.as_dict() for r in reports]
-        _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", values["out"])
+        _write_output(values["out"], json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        _write_output(sweep_csv(reports), values["out"])
+        _write_output(values["out"], sweep_csv(reports))
     return EXIT_OK
 
 
@@ -199,7 +213,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     values = _resolve(args)
     v_star, epsilon_star = solve_threshold(values["tolerance"])
     doc = {"v_star": v_star, "epsilon_star": epsilon_star}
-    _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", values["out"])
+    _write_output(values["out"], json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK
 
 
@@ -208,7 +222,7 @@ def cmd_ontology(args: argparse.Namespace) -> int:
     values = _resolve(args)
     rows = classification_matrix()
     if values["format"] == "json":
-        _write_output(json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n", values["out"])
+        _write_output(values["out"], json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         lines = ["scenario,real,physical,classification"]
         for row in rows:
@@ -216,7 +230,7 @@ def cmd_ontology(args: argparse.Namespace) -> int:
                 f"{row['scenario']},{str(row['real']).lower()},"
                 f"{str(row['physical']).lower()},{row['classification']}"
             )
-        _write_output("\n".join(lines) + "\n", values["out"])
+        _write_output(values["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 

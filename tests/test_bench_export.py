@@ -1,0 +1,66 @@
+"""The BENCH_*.json exporter, run on hand-written perfbench result files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_export.py"
+spec = importlib.util.spec_from_file_location("bench_export", TOOL)
+bench_export = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_export)
+
+MACHINE = {"nproc": 2, "machine": "x86_64", "cpu_model": "Xeon", "l3_bytes": 1 << 20}
+INFO = {"python": "3.11.7", "numpy": "2.4.6", "scqkd": "0.1.0", "ops": []}
+
+
+def record(workload, seed, rate, commit="abc123", trace=0):
+    metrics = {"rounds_per_s": {"value": rate, "unit": "rounds/s"},
+               "peak_rss_mb": {"value": 40.0 + seed, "unit": "MB"}}
+    return {"workload": workload, "seed": seed, "seconds": 32.0, "trace": trace,
+            "result": {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics},
+            "machine": dict(MACHINE, git_commit=commit), "info": INFO}
+
+
+def write(directory: Path, *records) -> Path:
+    directory.mkdir()
+    for r in records:
+        name = f"{r['workload']}-seed{r['seed']}-trace{r['trace']}.json"
+        (directory / name).write_text(json.dumps(r))
+    return directory
+
+
+def test_medians_commit_and_machine_are_copied(tmp_path):
+    parent = write(tmp_path / "parent", record("sim", 0, 1.0, "p0"), record("sim", 1, 3.0, "p0"),
+                   record("sim", 2, 2.0, "p0"), record("sim", 0, 99.0, "p0", trace=1))
+    change = write(tmp_path / "change", record("sim", 0, 5.0, "c1"))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_export.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    doc = json.loads(out.read_text())
+    p = doc["sides"]["parent"]
+    assert p["git_commit"] == "p0"
+    assert p["machine"] == MACHINE
+    assert p["build"] == {"python": "3.11.7", "numpy": "2.4.6", "scqkd": "0.1.0"}
+    sim = p["workloads"]["sim"]
+    assert [r["seed"] for r in sim["runs"]] == [0, 1, 2]  # the traced run is left out
+    assert sim["median"] == {"rounds_per_s": 2.0, "peak_rss_mb": 41.0}
+    assert sim["unit"] == {"rounds_per_s": "rounds/s", "peak_rss_mb": "MB"}
+    assert doc["sides"]["change"]["workloads"]["sim"]["median"]["rounds_per_s"] == 5.0
+
+
+@pytest.mark.parametrize("second", [record("sim", 1, 2.0, commit="other"),
+                                    dict(record("sim", 1, 2.0), info=dict(INFO, numpy="1.0"))])
+def test_runs_of_two_builds_in_one_directory_are_refused(tmp_path, second):
+    results = write(tmp_path / "r", record("sim", 0, 1.0), second)
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"x={results}"]) == 2
+    assert not out.exists()
+
+
+def test_empty_directory_and_bad_label_are_refused(tmp_path):
+    empty = write(tmp_path / "empty")
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"x={empty}"]) == 2
+    assert bench_export.main(["--out", str(out), str(empty)]) == 2
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""Property tests of the columnar session log's invariants."""
+"""Property tests of the columnar session log's invariants and of its summary."""
 
 import hashlib
 import math
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import OUTCOME_ORDER, Outcome
-from scqkd.protocol import SessionConfig, run_session, sift
+from scqkd.protocol import SessionConfig, run_session, sift, summarize_session
+from scqkd.security import InsufficientCheckDataError, estimate_from_session
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
@@ -57,3 +58,50 @@ def test_worker_and_block_counts_cannot_change_the_log(config, block):
             log = run_session(config, workers=workers)
             assert column_digest(log) == column_digest(reference)
             assert log.to_json() == reference.to_json()
+
+
+def row_codes(log) -> np.ndarray:
+    """Row codes of a log's rounds, in plain int64 arithmetic."""
+    alice, bob, outcome, eve, disclosed = (
+        col.astype(np.int64)
+        for col in (log.alice, log.bob, log.outcome, log.eve_result, log.disclosed)
+    )
+    return (((alice * 2 + bob) * 4 + outcome) * 4 + eve + 1) * 2 + disclosed
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=configs, block=st.integers(1, 2_000))
+def test_summary_histogram_counts_the_log_rows(config, block):
+    expected = np.bincount(row_codes(run_session(config)), minlength=128)
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
+        for workers in range(1, 5):
+            summary = summarize_session(config, workers=workers)
+            np.testing.assert_array_equal(summary.histogram, expected)
+            np.testing.assert_array_equal(run_session(config, workers=workers).histogram,
+                                          expected)
+
+
+def report_or_error(session) -> str:
+    try:
+        return estimate_from_session(session).to_json()
+    except InsufficientCheckDataError as exc:
+        return f"InsufficientCheckDataError: {exc}"
+
+
+report_configs = st.builds(
+    SessionConfig,
+    n_rounds=st.integers(1, 20_000),
+    upsilon=st.none() | st.just(0.0) | st.floats(0.0, math.pi / 2),
+    seed=st.integers(0, 2**64 - 1),
+    check_fraction=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=report_configs, workers=st.integers(1, 4))
+def test_summary_report_bytes_equal_the_log_report_bytes(config, workers):
+    summary = summarize_session(config, workers=workers)
+    log = run_session(config)
+    assert summary.to_json() == log.to_json()
+    assert summary.counters == log.counters
+    assert report_or_error(summary) == report_or_error(log)

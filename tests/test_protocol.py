@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from scqkd import protocol
 from scqkd.core import (
     ATOL,
     OUTCOME_ORDER,
@@ -21,11 +25,12 @@ from scqkd.protocol import (
     Announcement,
     SessionConfig,
     SessionLog,
+    SessionSummary,
     _sample_codes,
-    disclose_check_subset,
     run_session,
     sampling_tables,
     sift,
+    summarize_session,
 )
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
@@ -138,6 +143,14 @@ class TestSessionLogColumns:
         columns[name][0] = value
         with pytest.raises(ValueError, match=f"column {name} holds codes"):
             SessionLog(config=SessionConfig(n_rounds=2), **columns)
+
+    def test_columns_are_read_only_views(self):
+        columns = self.columns()
+        log = SessionLog(config=SessionConfig(n_rounds=2), **columns)
+        for name, column in columns.items():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(log, name)[0] = column[1]
+            column[0] = column[0]  # the caller's arrays stay writable
 
 
 class TestSampler:
@@ -291,6 +304,77 @@ class TestRunSession:
             assert recount.get(key, 0) == count
 
 
+def peak_traced_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSummary:
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
+    def test_histogram_equals_the_logs_across_chunks(self, upsilon):
+        config = SessionConfig(n_rounds=3 * 2**16 + 5, upsilon=upsilon, seed=11)
+        log = run_session(config)
+        for workers in (1, 2):
+            summary = summarize_session(config, workers=workers)
+            np.testing.assert_array_equal(summary.histogram, log.histogram)
+            assert summary.to_json() == log.to_json()
+
+    def test_histograms_are_read_only(self):
+        config = SessionConfig(n_rounds=1_000, seed=12)
+        for session in (summarize_session(config), run_session(config)):
+            with pytest.raises(ValueError):
+                session.histogram[0] += 1
+
+    def test_log_histogram_holds_every_round_once(self):
+        log = run_session(SessionConfig(n_rounds=5_000, upsilon=math.pi / 4, seed=13))
+        assert log.histogram.sum() == 5_000
+        assert sum(log.counters.values()) == 5_000
+
+    @pytest.mark.parametrize(
+        "histogram, message",
+        [
+            (np.ones(127, dtype=np.int64), "128 non-negative"),
+            (np.r_[-1, 11, np.zeros(126, dtype=np.int64)], "128 non-negative"),
+            (np.r_[9, np.zeros(127, dtype=np.int64)], "counts 9 rounds"),
+        ],
+    )
+    def test_bad_histogram_rejected(self, histogram, message):
+        with pytest.raises(ValueError, match=message):
+            SessionSummary(config=SessionConfig(n_rounds=10), histogram=histogram)
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            summarize_session(SessionConfig(n_rounds=10), workers=0)
+
+    def test_many_workers_on_small_chunks_lose_no_round(self):
+        config = SessionConfig(n_rounds=20_000, upsilon=math.pi / 3, seed=15)
+        reference = run_session(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(protocol, "SAMPLING_BLOCK", 97):
+                summary = summarize_session(config, workers=8)
+                log = run_session(config, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(summary.histogram, reference.histogram)
+        for name in ("alice", "bob", "outcome", "eve_result", "disclosed"):
+            np.testing.assert_array_equal(getattr(log, name), getattr(reference, name))
+
+    def test_memory_is_flat_in_the_session_length(self):
+        def peak(n, workers):
+            config = SessionConfig(n_rounds=n, upsilon=math.pi / 6, seed=14)
+            return peak_traced_mb(lambda: summarize_session(config, workers=workers))
+
+        # One worker: how many chunks overlap in time cannot change the peak.
+        assert peak(1_000_000, 1) <= 2 * peak(100_000, 1)
+        assert peak(1_000_000, 2) < 16
+
+
 class TestDisclosure:
     def test_zero_fraction_keeps_every_d0_round(self):
         log = run_session(SessionConfig(n_rounds=20_000, seed=61, check_fraction=0.0))
@@ -310,17 +394,21 @@ class TestDisclosure:
 
     def test_redisclosure_replaces_the_subset(self):
         config = SessionConfig(n_rounds=10_000, seed=73, check_fraction=0.0)
-        marked = disclose_check_subset(run_session(config), 0.5)
-        fresh = run_session(replace(config, check_fraction=0.5))
+        log = run_session(config)
+        marked = run_session(replace(config, check_fraction=0.5))
         assert 0 < marked.disclosed.sum() < len(marked)
+        # Only the mask moves: the rounds are drawn from another stream.
+        for name in ("alice", "bob", "outcome", "eve_result"):
+            np.testing.assert_array_equal(getattr(marked, name), getattr(log, name))
+        fresh = run_session(replace(config, check_fraction=0.5), workers=3)
         np.testing.assert_array_equal(marked.disclosed, fresh.disclosed)
         for render in (lambda log: log.to_json(include_rounds=True), SessionLog.to_csv):
             assert sha256(render(marked)) == sha256(render(fresh))
 
     def test_bad_fraction_rejected(self):
-        log = run_session(SessionConfig(n_rounds=10, seed=1))
+        config = SessionConfig(n_rounds=10, seed=1)
         with pytest.raises(ValueError, match="fraction"):
-            disclose_check_subset(log, 1.2)
+            run_session(replace(config, check_fraction=1.2))
 
 
 class TestSift:

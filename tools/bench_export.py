@@ -1,0 +1,84 @@
+"""Collect perfbench results into one BENCH_<n>.json file at the repository root.
+
+Usage (from the root of a checkout):
+
+    python3 tools/bench_export.py --out BENCH_6.json parent=DIR change=DIR
+
+Each DIR is a ``perfbench/results`` directory; its label names it in the
+output.  Only end-to-end runs (``--trace 0``) are read.  Every run in one
+directory must come from the same git commit and machine.  For each label
+and workload the file keeps the commit, the machine and build info, each
+run's end-to-end metrics (each already a median over the run's
+operations) and the median of every metric over the runs.  It changes no
+workload, metric or bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+
+def _load_runs(results: Path) -> list[dict]:
+    runs = [json.loads(path.read_text()) for path in sorted(results.glob("*-trace0.json"))]
+    if not runs:
+        raise ValueError(f"{results}: no end-to-end (--trace 0) results")
+    return runs
+
+
+def _only(values: list, what: str, results: Path):
+    distinct = {json.dumps(v, sort_keys=True) for v in values}
+    if len(distinct) != 1:
+        raise ValueError(f"{results}: runs disagree on {what}: {sorted(distinct)}")
+    return values[0]
+
+
+def side(results: Path) -> dict:
+    """One label's entry: commit, machine, build, and per-workload runs and medians."""
+    runs = _load_runs(results)
+    machine = [{k: v for k, v in r["machine"].items() if k != "git_commit"} for r in runs]
+    build = [{k: r["info"][k] for k in ("python", "numpy", "scqkd")} for r in runs]
+    workloads: dict[str, dict] = {}
+    for run in sorted(runs, key=lambda r: (r["workload"], r["seed"])):
+        entry = workloads.setdefault(run["workload"], {"runs": [], "median": {}, "unit": {}})
+        metrics = run["result"]["metrics"]
+        entry["runs"].append({"seed": run["seed"], "seconds": run["seconds"],
+                              "correct": run["result"]["correct"],
+                              **{name: m["value"] for name, m in metrics.items()}})
+        entry["unit"].update({name: m["unit"] for name, m in metrics.items()})
+    for entry in workloads.values():
+        for name in entry["unit"]:
+            entry["median"][name] = statistics.median(r[name] for r in entry["runs"])
+    return {
+        "git_commit": _only([r["machine"]["git_commit"] for r in runs], "git commit", results),
+        "machine": _only(machine, "machine", results),
+        "build": _only(build, "build", results),
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="output file, e.g. BENCH_6.json")
+    parser.add_argument("sides", nargs="+", metavar="LABEL=DIR",
+                        help="a label and the perfbench results directory it names")
+    args = parser.parse_args(argv)
+    doc = {"source": "perfbench/run.py --trace 0", "sides": {}}
+    try:
+        for spec in args.sides:
+            label, sep, results = spec.partition("=")
+            if not sep or not label or label in doc["sides"]:
+                raise ValueError(f"expected a new LABEL=DIR, got {spec!r}")
+            doc["sides"][label] = side(Path(results))
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_export: {exc}", file=sys.stderr)
+        return 2
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
