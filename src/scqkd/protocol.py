@@ -239,7 +239,8 @@ class _HistogramViews:
                     out[key] = int(flat[a * 8 + b * 4 + o])
         return out
 
-    def _counts_json(self) -> str:
+    def to_json(self) -> str:
+        """Config and counters as a canonical JSON document (stable bytes per config)."""
         doc = {
             "config": self.config.as_dict(),
             "counters": {",".join(k): v for k, v in self.counters.items()},
@@ -276,10 +277,6 @@ class SessionSummary(_HistogramViews):
                 f"histogram counts {histogram.sum()} rounds, config says {self.config.n_rounds}"
             )
         object.__setattr__(self, "histogram", _read_only(histogram))
-
-    def to_json(self) -> str:
-        """Config and counters as a canonical JSON document, as ``SessionLog.to_json()``."""
-        return self._counts_json()
 
 
 @dataclass
@@ -368,7 +365,7 @@ class SessionLog(_HistogramViews):
 
     def to_json(self, include_rounds: bool = False) -> str:
         """Serialize to a canonical JSON document (stable bytes per config)."""
-        text = self._counts_json()
+        text = super().to_json()
         if not include_rounds:
             return text
         # "rounds" sorts after "config" and "counters", so the rows close the document.
@@ -490,7 +487,7 @@ def _map_chunks(config: SessionConfig, workers: int, fn):
     order, a chunk at a time, while the workers map earlier chunks, and
     hands each chunk its mask.  At most two chunks per worker are in
     flight, so memory does not grow with the session.  Worker threads
-    call only numpy and this module's private helpers.
+    call only numpy and private helpers, never a public function.
     """
     n = config.n_rounds
     tables = sampling_tables(config.upsilon)
