@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
-from .protocol import SessionConfig, run_session, summarize_session
+from .protocol import SessionConfig, run_session
 from .security import (
     InsufficientCheckDataError,
     estimate_from_session,
@@ -163,10 +163,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         check_fraction=values["check_fraction"],
     )
     if values["format"] == "csv" or args.include_rounds:
-        session = run_session(config, workers=values["workers"])
+        session = run_session(config, workers=values["workers"], columns=True)
     else:
-        # A report-only session keeps only its histogram of row codes.
-        session = summarize_session(config, workers=values["workers"])
+        # The report reads only the session's histogram, so no column is mapped.
+        session = run_session(config, workers=values["workers"])
     report = estimate_from_session(session)
     if values["format"] == "csv":
         _write_output(values["out"], session.to_csv())
@@ -175,10 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Both parts are canonical documents and "report" sorts before "session".
     # Each drops its newline as it is made, so only one copy of the session
     # text is alive while the document is written.
-    if args.include_rounds:
-        session_json = session.to_json(include_rounds=True)[:-1]
-    else:
-        session_json = session.to_json()[:-1]
+    session_json = session.to_json(include_rounds=args.include_rounds)[:-1]
     _write_output(values["out"], '{"report":', report.to_json()[:-1], ',"session":',
                   session_json, "}\n")
     return EXIT_OK

@@ -16,8 +16,9 @@ cannot depend on the worker count used to compute it.
 Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
 of the session's histogram of row codes.  ``summarize_session`` keeps only
-that histogram; ``run_session`` also keeps the per-round columns.  Both
-map the rounds chunk by chunk through the same kernel, ``_map_chunk``.
+that histogram; ``run_session`` also maps the per-round columns, at once
+or when one is first read.  Both map the rounds chunk by chunk through
+the same kernel, ``_map_chunk``.
 """
 
 from __future__ import annotations
@@ -279,7 +280,19 @@ class SessionSummary(_HistogramViews):
         object.__setattr__(self, "histogram", _read_only(histogram))
 
 
-@dataclass
+class _Column:
+    """A log column: mapped on first read, then read from the instance itself."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, log, owner=None):
+        if log is None:
+            return self
+        log._materialize()
+        return log.__dict__[self.name]
+
+
 class SessionLog(_HistogramViews):
     """Columnar record of a whole session plus per-cell counters.
 
@@ -287,25 +300,51 @@ class SessionLog(_HistogramViews):
     outcome codes (index into ``OUTCOME_ORDER``), Eve's measurement code
     (-1 when absent) and the disclosure mask.  ``RoundRecord`` views are
     materialized on demand so million-round sessions stay cheap.
+
+    A log from ``run_session`` without ``columns`` holds only its summary
+    until a column is read; the rounds are then mapped again, chunk by
+    chunk, into columns.
+    Once a log has columns they are its record: the histogram is counted
+    from them on every read, so an edit made in place shows in every view.
+    No attribute can be reassigned.
     """
 
-    config: SessionConfig
-    alice: np.ndarray
-    bob: np.ndarray
-    outcome: np.ndarray
-    eve_result: np.ndarray
-    disclosed: np.ndarray
+    alice = _Column()
+    bob = _Column()
+    outcome = _Column()
+    eve_result = _Column()
+    disclosed = _Column()
 
-    def __post_init__(self) -> None:
-        n = self.config.n_rounds
+    def __init__(self, config: SessionConfig, alice: np.ndarray, bob: np.ndarray,
+                 outcome: np.ndarray, eve_result: np.ndarray, disclosed: np.ndarray) -> None:
+        columns = {"alice": alice, "bob": bob, "outcome": outcome, "eve_result": eve_result,
+                   "disclosed": disclosed}
+        n = config.n_rounds
         for name, (lowest, highest) in _COLUMN_CODES.items():
-            col = getattr(self, name)
+            col = columns[name]
             if len(col) != n:
                 raise ValueError(f"column {name} has {len(col)} rows, config says {n}")
             if col.min() < lowest or col.max() > highest:
                 raise ValueError(f"column {name} holds codes outside [{lowest}, {highest}]")
-            # The histogram is counted once, so the log's columns cannot change.
-            setattr(self, name, _read_only(col.view()))
+        self.__dict__.update(columns, config=config, _summary=None, _workers=1)
+
+    @classmethod
+    def _of_summary(cls, summary: SessionSummary, workers: int) -> SessionLog:
+        """A log that maps its rounds, on ``workers`` threads, when a column is first read."""
+        log = cls.__new__(cls)
+        log.__dict__.update(config=summary.config, _summary=summary, _workers=workers)
+        return log
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a SessionLog's attributes are fixed")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a SessionLog's attributes are fixed")
+
+    def _materialize(self) -> None:
+        """Map the rounds into the five columns, unless the log has them."""
+        if self._summary is not None:
+            self.__dict__.update(_map_columns(self.config, self._workers), _summary=None)
 
     def __len__(self) -> int:
         return self.config.n_rounds
@@ -315,10 +354,12 @@ class SessionLog(_HistogramViews):
         """Mask of key-candidate rounds (exactly the D0 outcomes)."""
         return self.outcome == _D0
 
-    @functools.cached_property
+    @property
     def histogram(self) -> np.ndarray:
-        """Rounds per row code, counted once from the read-only columns; read-only."""
-        return _read_only(_count_codes(self._row_codes()))
+        """Rounds per row code: the summary's, or counted from the columns once they exist."""
+        if self._summary is not None:
+            return self._summary.histogram
+        return _count_codes(self._row_codes())
 
     def _row_codes(self) -> np.ndarray:
         """Every round's row code."""
@@ -520,17 +561,8 @@ def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary
     return SessionSummary(config=config, histogram=histogram)
 
 
-def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
-    """Simulate ``config.n_rounds`` independent rounds.
-
-    The log is a pure function of the config: round i's uniforms are
-    counter step i of the (seed, round-stream) generator and its
-    disclosure uniform is double i of the (seed, disclose-stream)
-    generator.  Chunks of ``SAMPLING_BLOCK`` rounds are mapped on a pool
-    of ``workers`` threads, so any positive worker count produces
-    identical results.
-    """
-    _check_workers(workers)
+def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
+    """The session's five log columns, each chunk decoded into place."""
     n = config.n_rounds
     columns = {
         "alice": np.empty(n, dtype=np.uint8),
@@ -546,7 +578,29 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
 
     for _ in _map_chunks(config, workers, write):
         pass
-    return SessionLog(config=config, **columns)
+    return columns
+
+
+def run_session(config: SessionConfig, workers: int = 1, *, columns: bool = False) -> SessionLog:
+    """Simulate ``config.n_rounds`` independent rounds.
+
+    The log is a pure function of the config: round i's uniforms are
+    counter step i of the (seed, round-stream) generator and its
+    disclosure uniform is double i of the (seed, disclose-stream)
+    generator.  Chunks of ``SAMPLING_BLOCK`` rounds are mapped on a pool
+    of ``workers`` threads, so any positive worker count produces
+    identical results.
+
+    By default only the session's histogram is counted here, and the
+    columns are mapped, on the same pool, when one is first read: a
+    report that reads only the histogram never holds a column.  With
+    ``columns`` the columns are mapped now instead, which saves a second
+    pass over the rounds when the caller reads them.
+    """
+    _check_workers(workers)
+    if columns:
+        return SessionLog(config, **_map_columns(config, workers))
+    return SessionLog._of_summary(summarize_session(config, workers), workers)
 
 
 @dataclass

@@ -21,8 +21,7 @@ from .protocol import (
     SessionConfig,
     SessionLog,
     SessionSummary,
-    run_session,  # noqa: F401  (perfbench's tracer wraps security.run_session)
-    summarize_session,
+    run_session,
 )
 
 _REFLECT = CHOICES_BY_CODE.index(Choice.REFLECT)
@@ -203,7 +202,7 @@ def sweep_reports(
             seed=seed,
             check_fraction=check_fraction,
         )
-        reports.append(estimate_from_session(summarize_session(config, workers=workers)))
+        reports.append(estimate_from_session(run_session(config, workers=workers)))
     return reports
 
 

@@ -144,13 +144,17 @@ class TestSessionLogColumns:
         with pytest.raises(ValueError, match=f"column {name} holds codes"):
             SessionLog(config=SessionConfig(n_rounds=2), **columns)
 
-    def test_columns_are_read_only_views(self):
+    def test_columns_are_edited_in_place_but_never_reassigned(self):
         columns = self.columns()
         log = SessionLog(config=SessionConfig(n_rounds=2), **columns)
+        log.outcome[1] = OUTCOME_ORDER.index(Outcome.D1)
+        assert log.counters[("Absorb", "Reflect", "D0")] == 1
+        assert log.counters[("Absorb", "Reflect", "D1")] == 1
         for name, column in columns.items():
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(log, name)[0] = column[1]
-            column[0] = column[0]  # the caller's arrays stay writable
+            with pytest.raises(AttributeError, match="fixed"):
+                setattr(log, name, column)
+        with pytest.raises(AttributeError, match="fixed"):
+            log.config = SessionConfig(n_rounds=3)
 
 
 class TestSampler:
@@ -328,6 +332,19 @@ class TestSummary:
         for session in (summarize_session(config), run_session(config)):
             with pytest.raises(ValueError):
                 session.histogram[0] += 1
+
+    def test_log_maps_its_columns_only_when_one_is_read(self):
+        config = SessionConfig(n_rounds=20_000, upsilon=math.pi / 6, seed=16)
+        eager = run_session(config, columns=True)
+        log = run_session(config, workers=2)
+        assert log.to_json() == eager.to_json()
+        assert not {"alice", "bob", "outcome", "eve_result", "disclosed"} & set(vars(log))
+        assert log.outcome is log.outcome
+        assert log.to_json(include_rounds=True) == eager.to_json(include_rounds=True)
+        # Once mapped, the columns are the record: an edit shows in every view.
+        log.outcome[0] = (log.outcome[0] + 1) % 4
+        assert log.to_json() != eager.to_json()
+        assert log.to_csv() != eager.to_csv()
 
     def test_log_histogram_holds_every_round_once(self):
         log = run_session(SessionConfig(n_rounds=5_000, upsilon=math.pi / 4, seed=13))
