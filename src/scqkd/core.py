@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances: exact linear algebra / eigenvalue floor for PSD checks.
+# Tolerance of the exact linear algebra.
 ATOL = 1e-12
-PSD_FLOOR = -1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

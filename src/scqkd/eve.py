@@ -6,7 +6,9 @@ announces a D0 round, Eve measures the stored probe with the unambiguous
 discrimination POVM: outcome Plus means the photon took the external arm,
 Minus the internal arm, and Inconclusive nothing.  A conclusive outcome
 combined with the D0 announcement pins down both parties' choices and
-hence the shared key bit.  On all other rounds she discards the probe.
+hence the shared key bit: Plus means Alice absorbed (bit 0), Minus that
+she reflected (bit 1); ``protocol.sift`` turns her codes into these
+guesses.  On all other rounds she discards the probe.
 """
 
 from __future__ import annotations
@@ -25,27 +27,6 @@ class EveOutcome(enum.Enum):
 
 #: Sampling and wire order of the POVM outcomes.
 EVE_OUTCOME_ORDER = (EveOutcome.PLUS, EveOutcome.MINUS, EveOutcome.INCONCLUSIVE)
-
-
-def eve_guess(result: EveOutcome, announcement) -> int | None:
-    """Turn a measurement result plus the public announcement into a bit guess.
-
-    On a D0 round the parties' choices are (ideally) anti-correlated, so
-    locating the photon's arm fixes both choices: Plus (external arm)
-    means Alice absorbed, giving bit 0; Minus (internal arm) means Alice
-    reflected, giving bit 1.  Inconclusive yields no guess.
-
-    ``announcement`` may be the protocol Announcement enum or its string
-    value; only "D0" rounds are meaningful here.
-    """
-    tag = getattr(announcement, "value", announcement)
-    if tag != "D0":
-        raise ValueError("eve_guess applies only to announced-D0 rounds")
-    if result is EveOutcome.PLUS:
-        return 0
-    if result is EveOutcome.MINUS:
-        return 1
-    return None
 
 
 def eve_information(upsilon: float) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import OUTCOME_ORDER, Choice, Outcome, build_povm, terminal_distribution
 from .eve import EVE_OUTCOME_ORDER, EveOutcome
-from .randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_at, philox_stream
+from .randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_words, philox_stream
 
 #: Choice encoding used by the columnar log (index into this tuple).
 CHOICES_BY_CODE = (Choice.ABSORB, Choice.REFLECT)
@@ -43,6 +43,10 @@ _D0 = OUTCOME_ORDER.index(Outcome.D0)
 _EVE_ABSENT = -1
 
 _MAX_SEED = 2**64 - 1
+
+#: A word's uniform is its top 53 bits k as k * 2**-53, so u >= 0.5 when k >= 2**52.
+_UNIFORM_BITS = 53
+_HALF = 2**52
 
 #: Rounds per chunk of the session's thread pool.  Results never depend on it.
 SAMPLING_BLOCK = 2**16
@@ -136,11 +140,17 @@ class SamplingTables:
     distribution over ``EVE_OUTCOME_ORDER`` on that pair's D0 probe
     (``eve_cum`` is None without an attack).  ``d0_probes[pair]`` is the
     probe Eve stores on a D0 round, or None when D0 is impossible.
+
+    ``outcome_thresholds`` and ``eve_thresholds`` are the same tables as
+    integers ceil(t * 2**53): a uniform k * 2**-53 is at or above t exactly
+    when the integer k is at or above ceil(t * 2**53).
     """
 
     outcome_cum: np.ndarray
     eve_cum: np.ndarray | None
     d0_probes: tuple[np.ndarray | None, ...]
+    outcome_thresholds: np.ndarray
+    eve_thresholds: np.ndarray | None
 
 
 def _cumulative(probabilities) -> np.ndarray:
@@ -171,43 +181,53 @@ def sampling_tables(upsilon: float | None) -> SamplingTables:
         d0_probes.append(probe)
         if povm is not None and probe is not None:
             eve_cum[pair] = _cumulative(povm.outcome_probabilities(probe))
-    for array in (outcome_cum, eve_cum, *d0_probes):
+    # Exact: scaling by 2**53 and taking the ceiling do not round.
+    outcome_thresholds, eve_thresholds = (
+        None if cum is None else np.ceil(cum * 2.0**_UNIFORM_BITS).astype(np.uint64)
+        for cum in (outcome_cum, eve_cum)
+    )
+    tables = SamplingTables(outcome_cum, eve_cum, tuple(d0_probes), outcome_thresholds,
+                            eve_thresholds)
+    for array in (outcome_cum, eve_cum, outcome_thresholds, eve_thresholds, *d0_probes):
         if array is not None:
             array.flags.writeable = False  # shared by every caller through the cache
-    return SamplingTables(
-        outcome_cum=outcome_cum,
-        eve_cum=eve_cum,
-        d0_probes=tuple(d0_probes),
-    )
+    return tables
 
 
 def _sample_codes(
-    tables: SamplingTables, pair: np.ndarray, u_outcome: np.ndarray, u_eve: np.ndarray
+    tables: SamplingTables, pair: np.ndarray, k_outcome: np.ndarray, k_eve: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map pair codes and two uniforms per round to (outcome, Eve) codes.
+    """Map uint8 pair codes and two uniforms k * 2**-53 per round to (outcome, Eve) codes.
 
     Each code counts the thresholds of its row at or below the uniform,
     which is the inverse-CDF draw.  Eve measures only D0 rounds under an
     attack; every other round gets -1.
     """
-    outcome = _count_thresholds(tables.outcome_cum, pair, u_outcome).view(np.uint8)
+    outcome = _count_thresholds(tables.outcome_thresholds, pair, k_outcome)
     eve = np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
-    if tables.eve_cum is not None:
+    if tables.eve_thresholds is not None:
         d0 = np.flatnonzero(outcome == _D0)
-        eve[d0] = _count_thresholds(tables.eve_cum, pair[d0], u_eve[d0])
+        eve[d0] = _count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
     return outcome, eve
 
 
-def _count_thresholds(cum: np.ndarray, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per round, how many thresholds of row ``cum[pair]`` lie at or below ``u``.
+def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per round, how many integer thresholds of row ``thresholds[pair]`` lie at or below ``k``.
 
-    One threshold column at a time; a column of ones is skipped, since
-    uniforms lie in [0, 1).
+    Row p and the keys of its rounds are lifted by p * 2**53, so every
+    lifted threshold is one scalar compare, with no gather: a key lies above
+    each lower row and below each higher one.  A threshold lifted onto a
+    row's edge only compares pair codes, and one past the last row never counts.
     """
-    count = np.zeros(len(pair), dtype=np.int8)
-    for column in cum.T:
-        if not np.all(column == 1.0):
-            count += column[pair] <= u
+    rows, columns = thresholds.shape
+    lifted = thresholds + (np.arange(rows, dtype=np.uint64) << _UNIFORM_BITS)[:, None]
+    key = np.left_shift(pair, _UNIFORM_BITS, dtype=np.uint64)
+    key |= k
+    count = np.zeros(len(pair), dtype=np.uint8)
+    for threshold in lifted[lifted < rows << _UNIFORM_BITS]:
+        row, rest = divmod(int(threshold), 1 << _UNIFORM_BITS)
+        count += key >= threshold if rest else pair >= row
+    count -= pair * columns
     return count
 
 
@@ -504,13 +524,15 @@ def _map_chunk(
 ) -> np.ndarray:
     """Row codes of rounds ``lo`` to ``lo + len(disclosed)``: the one session kernel.
 
-    Round i's four uniforms are Philox counter step i of the round stream,
-    so the chunk draws them from its own generator entered at step ``lo``.
+    Round i's four words are Philox counter step i of the round stream,
+    so the chunk draws them at its own counter step ``lo``.  A choice is
+    Reflect when its uniform is at least 0.5: its word's top bit is set.
     """
-    u = _philox_at(config.seed, ROUND_STREAM, lo).random((len(disclosed), 4))
-    pair = (u[:, 0] >= 0.5).view(np.uint8) * 2
-    pair += u[:, 1] >= 0.5
-    outcome, eve = _sample_codes(tables, pair, u[:, 2], u[:, 3])
+    k = _philox_words(config.seed, ROUND_STREAM, lo, len(disclosed))
+    k >>= 64 - _UNIFORM_BITS  # each word's top 53 bits; its uniform is k * 2**-53
+    pair = (k[:, 0] >= _HALF).view(np.uint8) * 2
+    pair += k[:, 1] >= _HALF
+    outcome, eve = _sample_codes(tables, pair, k[:, 2], k[:, 3])
     return _encode(pair, outcome, eve, disclosed)
 
 
@@ -563,14 +585,8 @@ def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary
 
 def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
     """The session's five log columns, each chunk decoded into place."""
-    n = config.n_rounds
-    columns = {
-        "alice": np.empty(n, dtype=np.uint8),
-        "bob": np.empty(n, dtype=np.uint8),
-        "outcome": np.empty(n, dtype=np.uint8),
-        "eve_result": np.empty(n, dtype=np.int8),
-        "disclosed": np.empty(n, dtype=bool),
-    }
+    empty = _decode(np.empty(0, dtype=np.uint8))  # the dtype of each column
+    columns = {name: np.empty(config.n_rounds, col.dtype) for name, col in empty.items()}
 
     def write(lo: int, codes: np.ndarray) -> None:
         for name, column in _decode(codes).items():
@@ -658,8 +674,8 @@ def sift(log: SessionLog) -> SiftedKey:
     keep = log.sifted & ~log.disclosed
     alice_bits = log.alice[keep].astype(np.uint8)  # Reflect code is already bit 1
     bob_bits = (1 - log.bob[keep]).astype(np.uint8)
+    # Plus (code 0) puts the photon in the external arm: Alice absorbed, bit 0.
+    # Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.
     codes = log.eve_result[keep]
-    guesses = np.full(len(codes), -1, dtype=np.int8)
-    guesses[codes == 0] = 0  # Plus: photon in the external arm, Alice absorbed
-    guesses[codes == 1] = 1  # Minus: photon in the internal arm, Alice reflected
+    guesses = np.where(codes <= 1, codes, -1).astype(np.int8)  # Inconclusive: no guess
     return SiftedKey(alice_bits=alice_bits, bob_bits=bob_bits, eve_guesses=guesses)

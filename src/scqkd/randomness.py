@@ -8,9 +8,11 @@ other streams exist.  Sessions take per-round randomness from stream
 results cannot depend on how the work is sharded across workers.
 
 Philox is counter-addressed (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11): each counter step yields four 64-bit words, one
-per double, so a stream can be entered at any counter step without
-drawing what comes before it.
+easy as 1, 2, 3", SC'11): each counter step yields four 64-bit words, so a
+stream can be entered at any counter step without drawing what comes
+before it.  A stream's ``random()`` turns word w into exactly
+(w >> 11) * 2**-53, so the session kernel reads the round stream's words
+and compares their top 53 bits with integer thresholds, making no doubles.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ def philox_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= int(stream_id) <= _UINT64_MAX:
         raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-    return _philox_at(seed, stream_id, 0)
+    return np.random.Generator(_philox(seed, stream_id))
 
 
-def _philox_at(seed: int, stream_id: int, counter: int) -> np.random.Generator:
-    """The (seed, stream_id) generator entered at Philox counter step ``counter``.
+def _philox(seed: int, stream_id: int, counter: int = 0) -> np.random.Philox:
+    return np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64), counter=counter)
 
-    Its first double is double ``4 * counter`` of ``philox_stream(seed,
-    stream_id)``.  The arguments are not checked.
-    """
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+def _philox_words(seed: int, stream_id: int, lo: int, m: int) -> np.ndarray:
+    """The (m, 4) uint64 words of counter steps ``lo`` to ``lo + m``, one row per step."""
+    return _philox(seed, stream_id, lo).random_raw(4 * m).reshape(m, 4)

@@ -60,11 +60,16 @@ def epsilon_of_visibility(v: float) -> float:
     return (1.0 - v) / (2.0 - v)
 
 
-def key_rate(v: float) -> float:
-    """I_B - I_E at visibility v: positive means a secret key is possible."""
+def _informations(v: float) -> tuple[float, float, float]:
+    """I_B, I_E and the key rate I_B - I_E per sifted bit at visibility v."""
     i_bob = 1.0 - binary_entropy(epsilon_of_visibility(v))
     i_eve = 1.0 - v
-    return i_bob - i_eve
+    return i_bob, i_eve, i_bob - i_eve
+
+
+def key_rate(v: float) -> float:
+    """I_B - I_E at visibility v: positive means a secret key is possible."""
+    return _informations(v)[2]
 
 
 def solve_threshold(tolerance: float = 1e-9) -> tuple[float, float]:
@@ -166,11 +171,8 @@ def estimate_from_session(log: SessionLog | SessionSummary) -> SecurityReport:
         eps_se = 0.0
 
     upsilon = log.config.upsilon
-    v_analytic = math.cos(upsilon) if upsilon is not None else 1.0
-    v_clamped = min(max(v_hat, 0.0), 1.0)
-    i_bob = 1.0 - binary_entropy(epsilon_of_visibility(v_clamped))
-    i_eve = 1.0 - v_clamped
-    rate = i_bob - i_eve
+    v_analytic = visibility_of_upsilon(upsilon) if upsilon is not None else 1.0
+    i_bob, i_eve, rate = _informations(min(max(v_hat, 0.0), 1.0))
     return SecurityReport(
         upsilon=upsilon,
         visibility_analytic=v_analytic,

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from scqkd.core import Choice, Outcome, build_povm, probe_pair, terminal_distribution
-from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_guess, eve_information
-from scqkd.protocol import Announcement, SessionConfig, run_session, sift
+from scqkd.core import (
+    OUTCOME_ORDER,
+    Choice,
+    Outcome,
+    build_povm,
+    probe_pair,
+    terminal_distribution,
+)
+from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_information
+from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session, sift
 
 UPSILONS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -51,7 +58,24 @@ class TestEveMeasure:
         assert (eve == PLUS).all()
 
 
+def attacked_log(rounds):
+    """An attacked log of undisclosed (alice, bob, outcome, Eve's result or None) rounds."""
+    n = len(rounds)
+    return SessionLog(
+        config=SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0),
+        alice=np.array([CHOICES_BY_CODE.index(r[0]) for r in rounds], dtype=np.uint8),
+        bob=np.array([CHOICES_BY_CODE.index(r[1]) for r in rounds], dtype=np.uint8),
+        outcome=np.array([OUTCOME_ORDER.index(r[2]) for r in rounds], dtype=np.uint8),
+        eve_result=np.array(
+            [-1 if r[3] is None else EVE_OUTCOME_ORDER.index(r[3]) for r in rounds], dtype=np.int8
+        ),
+        disclosed=np.zeros(n, dtype=bool),
+    )
+
+
 class TestEveGuess:
+    # sift turns Eve's result on each key round into her guess of the shared bit.
+
     def test_guess_map_matches_the_arm_probe_correlation(self):
         # Oracle: the conditional D0 probes of the two anti-correlated cases.
         plus, minus = probe_pair(math.pi / 3)
@@ -59,20 +83,29 @@ class TestEveGuess:
         internal = terminal_distribution(Choice.REFLECT, Choice.ABSORB, math.pi / 3)
         assert abs(np.vdot(plus, external.probe(Outcome.D0))) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(minus, internal.probe(Outcome.D0))) == pytest.approx(1.0, abs=1e-12)
+        key = sift(attacked_log([
+            (Choice.ABSORB, Choice.REFLECT, Outcome.D0, EveOutcome.PLUS),
+            (Choice.REFLECT, Choice.ABSORB, Outcome.D0, EveOutcome.MINUS),
+        ]))
         # Plus tags the external arm: Alice absorbed, shared bit 0.
-        assert eve_guess(EveOutcome.PLUS, Announcement.D0) == 0
         # Minus tags the internal arm: Alice reflected, shared bit 1.
-        assert eve_guess(EveOutcome.MINUS, Announcement.D0) == 1
+        np.testing.assert_array_equal(key.eve_guesses, [0, 1])
+        np.testing.assert_array_equal(key.alice_bits, [0, 1])
+        assert key.eve_guess_errors() == 0
 
     def test_inconclusive_yields_no_guess(self):
-        assert eve_guess(EveOutcome.INCONCLUSIVE, Announcement.D0) is None
+        key = sift(attacked_log([
+            (Choice.ABSORB, Choice.REFLECT, Outcome.D0, EveOutcome.INCONCLUSIVE),
+        ]))
+        np.testing.assert_array_equal(key.eve_guesses, [-1])
 
-    def test_plain_string_announcement_accepted(self):
-        assert eve_guess(EveOutcome.PLUS, "D0") == 0
-
-    def test_non_d0_round_rejected(self):
-        with pytest.raises(ValueError, match="D0"):
-            eve_guess(EveOutcome.PLUS, Announcement.NOT_D0)
+    def test_non_d0_rounds_get_no_guess(self):
+        key = sift(attacked_log([
+            (Choice.ABSORB, Choice.REFLECT, Outcome.D1, None),
+            (Choice.REFLECT, Choice.ABSORB, Outcome.D0, EveOutcome.MINUS),
+            (Choice.REFLECT, Choice.REFLECT, Outcome.D1, None),
+        ]))
+        np.testing.assert_array_equal(key.eve_guesses, [1])
 
 
 class TestEveInformation:

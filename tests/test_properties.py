@@ -105,3 +105,21 @@ def test_summary_report_bytes_equal_the_log_report_bytes(config, workers):
     assert summary.to_json() == log.to_json()
     assert summary.counters == log.counters
     assert report_or_error(summary) == report_or_error(log)
+
+
+# Threshold values with the row edges 0 and 2**53 and their neighbours drawn often.
+thresholds_53 = st.sampled_from([0, 1, 2**52, 2**53 - 1, 2**53]) | st.integers(0, 2**53)
+uniform_bits = st.sampled_from([0, 1, 2**52, 2**53 - 1]) | st.integers(0, 2**53 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), columns=st.integers(1, 4), n=st.integers(1, 60))
+def test_lifted_compares_count_each_rounds_own_row(data, columns, n):
+    # Any four rows, sorted or not, against a direct per-round count.
+    rows = data.draw(st.lists(st.lists(thresholds_53, min_size=columns, max_size=columns),
+                              min_size=4, max_size=4))
+    thresholds = np.array(rows, dtype=np.uint64)
+    pair = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), np.uint8)
+    k = np.array(data.draw(st.lists(uniform_bits, min_size=n, max_size=n)), np.uint64)
+    expected = [sum(int(k[i]) >= t for t in rows[pair[i]]) for i in range(n)]
+    np.testing.assert_array_equal(protocol._count_thresholds(thresholds, pair, k), expected)

@@ -163,6 +163,14 @@ class TestSampler:
         povm = build_povm(upsilon) if upsilon else None
         tables = sampling_tables(upsilon)
         rng = np.random.default_rng(12)
+        # Both ends of the word range, and each threshold's last word below
+        # it and first word at or above it (words past 2**64 - 1 dropped).
+        thresholds = [tables.outcome_thresholds]
+        if tables.eve_thresholds is not None:
+            thresholds.append(tables.eve_thresholds)
+        starts = [int(t) << 11 for table in thresholds for t in table.ravel()]
+        edges = [w for w in [0, 2**64 - 1, *starts, *(s - 1 for s in starts)] if 0 <= w < 2**64]
+        edges = np.array(edges, dtype=np.uint64)
         for pair in range(4):
             dist = terminal_distribution(
                 CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], upsilon
@@ -170,16 +178,19 @@ class TestSampler:
             p_outcome = [dist.probability(o) for o in OUTCOME_ORDER]
             probe = dist.probe(Outcome.D0)
             p_eve = None if povm is None or probe is None else povm.outcome_probabilities(probe)
-            # Random uniforms plus both ends of [0, 1) and every threshold.
-            edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], tables.outcome_cum.ravel()])
-            u = np.concatenate([rng.random((500, 2)), np.stack([edges, edges[::-1]], 1)])
-            u = u[(u < 1.0).all(1)]
-            outcome, eve = _sample_codes(tables, np.full(len(u), pair), u[:, 0], u[:, 1])
-            for row, (u_outcome, u_eve) in enumerate(u):
+            # Random words (the uniforms rng.random would give) plus the edges.
+            words = np.concatenate(
+                [rng.bit_generator.random_raw((500, 2)), np.stack([edges, edges[::-1]], 1)]
+            )
+            outcome, eve = _sample_codes(
+                tables, np.full(len(words), pair, np.uint8), words[:, 0] >> 11, words[:, 1] >> 11
+            )
+            for row, (w_outcome, w_eve) in enumerate(words.tolist()):
+                u_outcome, u_eve = (w_outcome >> 11) * 2.0**-53, (w_eve >> 11) * 2.0**-53
                 expected = scalar_draw(p_outcome, u_outcome)
-                assert outcome[row] == expected, (pair, u_outcome)
+                assert outcome[row] == expected, (pair, w_outcome)
                 if povm is not None and expected == OUTCOME_ORDER.index(Outcome.D0):
-                    assert eve[row] == scalar_draw(p_eve, u_eve), (pair, u_eve)
+                    assert eve[row] == scalar_draw(p_eve, u_eve), (pair, w_eve)
                 else:
                     assert eve[row] == -1
 
@@ -390,6 +401,13 @@ class TestSummary:
         # One worker: how many chunks overlap in time cannot change the peak.
         assert peak(1_000_000, 1) <= 2 * peak(100_000, 1)
         assert peak(1_000_000, 2) < 16
+
+    def test_one_chunk_holds_about_one_word_array(self):
+        # The chunk's (2**16, 4) words take 2 MiB; the mapping may add little more.
+        config = SessionConfig(n_rounds=2**16, upsilon=math.pi / 6, seed=15)
+        tables = sampling_tables(config.upsilon)
+        disclosed = np.zeros(config.n_rounds, dtype=bool)
+        assert peak_traced_mb(lambda: protocol._map_chunk(config, tables, 0, disclosed)) <= 3.4
 
 
 class TestDisclosure:

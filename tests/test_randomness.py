@@ -1,9 +1,12 @@
-"""Tests for the counter-based stream factory."""
+"""Tests for the counter-based stream factory and the word identity the kernel rests on."""
+
+import math
 
 import numpy as np
 import pytest
 
-from scqkd.randomness import philox_stream
+from scqkd.protocol import sampling_tables
+from scqkd.randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_words, philox_stream
 
 
 class TestPhiloxStream:
@@ -37,3 +40,35 @@ class TestPhiloxStream:
         b.random(1000)
         interleaved = a.random(16)
         np.testing.assert_array_equal(interleaved, philox_stream(7, 0).random(16))
+
+
+class TestWords:
+    @pytest.mark.parametrize("stream", [ROUND_STREAM, DISCLOSE_STREAM])
+    @pytest.mark.parametrize("counter", [0, 1, 5, 2**40])
+    def test_doubles_are_the_top_53_bits_of_the_words(self, stream, counter):
+        generator = philox_stream(31, stream)
+        generator.bit_generator.advance(counter)
+        words = _philox_words(31, stream, counter, 1000)
+        assert words.shape == (1000, 4) and words.dtype == np.uint64
+        np.testing.assert_array_equal(generator.random(4000), (words.ravel() >> 11) * 2.0**-53)
+
+    @pytest.mark.parametrize("counter", [0, 1, 5])
+    def test_a_later_counter_step_is_a_later_row(self, counter):
+        np.testing.assert_array_equal(
+            _philox_words(31, ROUND_STREAM, counter, 20),
+            _philox_words(31, ROUND_STREAM, 0, counter + 20)[counter:],
+        )
+
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
+    def test_integer_thresholds_compare_like_the_doubles(self, upsilon):
+        tables = sampling_tables(upsilon)
+        checked = [(tables.outcome_cum, tables.outcome_thresholds)]
+        if tables.eve_cum is not None:
+            checked.append((tables.eve_cum, tables.eve_thresholds))
+        for cum, thresholds in checked:
+            assert thresholds.dtype == np.uint64 and not thresholds.flags.writeable
+            for t, T in zip(cum.ravel().tolist(), thresholds.ravel().tolist()):
+                for word in ((T << 11) - 1, T << 11, 0, 2**64 - 1):
+                    if 0 <= word < 2**64:
+                        k = word >> 11
+                        assert (k >= T) == (k * 2.0**-53 >= t), (t, word)
