@@ -13,10 +13,12 @@ error, 4 integrity violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
@@ -138,19 +140,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     return values
 
 
-def _write_output(path: str | None, *parts: str) -> None:
-    """Write ``parts`` in order: to stdout as text, or to the file as UTF-8.
+def _write_output(path: str | None, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in order, each as it comes: to stdout as text, or to the file as UTF-8.
 
-    A file gets each part encoded once and written as bytes, so a large
-    document is never joined or copied by a text writer.
+    A file gets each piece encoded on its own and written as bytes.  Neither
+    writer holds a piece once it is written, so a streamed document is never
+    joined or encoded whole, and one of its pieces is alive at a time.
     """
     if path is None or path == "-":
-        for part in parts:
-            sys.stdout.write(part)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "wb") as fh:
-            for part in parts:
-                fh.write(part.encode("utf-8"))
+            fh.writelines(map(str.encode, pieces))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -169,15 +170,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         session = run_session(config, workers=values["workers"])
     report = estimate_from_session(session)
     if values["format"] == "csv":
-        _write_output(values["out"], session.to_csv())
+        _write_output(values["out"], session._document("csv"))
         sys.stdout.write(report.to_json())
         return EXIT_OK
     # Both parts are canonical documents and "report" sorts before "session".
-    # Each drops its newline as it is made, so only one copy of the session
-    # text is alive while the document is written.
-    session_json = session.to_json(include_rounds=args.include_rounds)[:-1]
-    _write_output(values["out"], '{"report":', report.to_json()[:-1], ',"session":',
-                  session_json, "}\n")
+    # A canonical JSON document holds one newline, its last character, so
+    # dropping a newline from each piece of the session drops only that one.
+    session_json = session._document("json") if args.include_rounds else [session.to_json()]
+    pieces = itertools.chain(
+        ['{"report":', report.to_json()[:-1], ',"session":'],
+        map(lambda piece: piece.removesuffix("\n"), session_json),
+        ["}\n"],
+    )
+    _write_output(values["out"], pieces)
     return EXIT_OK
 
 
@@ -199,9 +204,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if values["format"] == "json":
         doc = [r.as_dict() for r in reports]
-        _write_output(values["out"], json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        _write_output(values["out"], [text])
     else:
-        _write_output(values["out"], sweep_csv(reports))
+        _write_output(values["out"], [sweep_csv(reports)])
     return EXIT_OK
 
 
@@ -210,7 +216,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     values = _resolve(args)
     v_star, epsilon_star = solve_threshold(values["tolerance"])
     doc = {"v_star": v_star, "epsilon_star": epsilon_star}
-    _write_output(values["out"], json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_output(values["out"], [json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"])
     return EXIT_OK
 
 
@@ -219,7 +225,8 @@ def cmd_ontology(args: argparse.Namespace) -> int:
     values = _resolve(args)
     rows = classification_matrix()
     if values["format"] == "json":
-        _write_output(values["out"], json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n")
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
+        _write_output(values["out"], [text])
     else:
         lines = ["scenario,real,physical,classification"]
         for row in rows:
@@ -227,7 +234,7 @@ def cmd_ontology(args: argparse.Namespace) -> int:
                 f"{row['scenario']},{str(row['real']).lower()},"
                 f"{str(row['physical']).lower()},{row['classification']}"
             )
-        _write_output(values["out"], "\n".join(lines) + "\n")
+        _write_output(values["out"], ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

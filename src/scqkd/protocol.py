@@ -28,6 +28,7 @@ import enum
 import functools
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -387,7 +388,9 @@ class SessionLog(_HistogramViews):
         return _encode(pair, self.outcome, self.eve_result, self.disclosed)
 
     def round(self, i: int) -> RoundRecord:
-        """Materialize the full record of round ``i``."""
+        """Materialize the full record of round ``i``, for ``0 <= i < len(self)``."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"round {i} is outside [0, {len(self)})")
         outcome = OUTCOME_ORDER[self.outcome[i]]
         announced = Announcement.D0 if outcome is Outcome.D0 else Announcement.NOT_D0
         eve_probe = None
@@ -413,33 +416,49 @@ class SessionLog(_HistogramViews):
         for i in range(len(self)):
             yield self.round(i)
 
-    def _row_parts(self, fmt: str) -> list[str]:
-        """Head, round id and tail of every round's row in ``fmt``, in round order."""
+    def _document(self, fmt: str) -> Iterator[str]:
+        """The per-round document in ``fmt``, yielded a chunk of ``SAMPLING_BLOCK`` rows at a time.
+
+        ``to_json(include_rounds=True)`` and ``to_csv()`` join it; the CLI
+        writes it piece by piece.  A row is its code's head, its round id
+        and its code's tail.  Round id i is the decade prefix str(i // 10),
+        made once per ten rounds and empty below 10, then the last digit,
+        which the tail table folds into the tail.
+        """
         heads, tails = _row_templates(self.config.upsilon, fmt)
         codes = self._row_codes()
         n = len(codes)
-        parts = [""] * (3 * n)
-        parts[0::3] = heads[codes].tolist()
-        parts[1::3] = map(str, range(n))
-        parts[2::3] = tails[codes].tolist()
-        return parts
+        if fmt == "json":
+            # "rounds" sorts after "config" and "counters", so the rows close the document.
+            yield super().to_json()[:-2] + ',"rounds":['
+        else:
+            yield "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n"
+        for lo in range(0, n, SAMPLING_BLOCK):
+            chunk = codes[lo:lo + SAMPLING_BLOCK]
+            decade, digit = np.divmod(np.arange(lo, lo + len(chunk)), 10)
+            first = lo // 10
+            prefixes = np.array(list(map(str, range(first, decade[-1] + 1))), dtype=object)
+            if first == 0:
+                prefixes[0] = ""
+            parts = [""] * (3 * len(chunk))
+            parts[0::3] = heads[chunk].tolist()
+            parts[1::3] = prefixes.take(decade - first).tolist()
+            parts[2::3] = tails[digit, chunk].tolist()
+            if lo == 0 and fmt == "json":
+                parts[0] = parts[0][1:]  # no comma before the first row
+            yield "".join(parts)
+        if fmt == "json":
+            yield "]}\n"
 
     def to_json(self, include_rounds: bool = False) -> str:
         """Serialize to a canonical JSON document (stable bytes per config)."""
-        text = super().to_json()
         if not include_rounds:
-            return text
-        # "rounds" sorts after "config" and "counters", so the rows close the document.
-        parts = self._row_parts("json")
-        parts[0] = text[:-2] + ',"rounds":[' + parts[0][1:]  # no comma before the first row
-        parts.append("]}\n")
-        return "".join(parts)
+            return super().to_json()
+        return "".join(self._document("json"))
 
     def to_csv(self) -> str:
         """Per-round CSV with one row per round."""
-        parts = self._row_parts("csv")
-        parts.insert(0, "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n")
-        return "".join(parts)
+        return "".join(self._document("csv"))
 
 
 #: Stands in for the round id while a template row is rendered.
@@ -463,10 +482,12 @@ _ROW_FORMATS = {"json": _json_row, "csv": _csv_row}
 
 @functools.lru_cache(maxsize=64)
 def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Text before and after the round id of each row code in ``fmt``, by row code.
+    """Heads and tails of the rows in ``fmt``: ``heads[code]`` and ``tails[digit, code]``.
 
-    Each code's row is rendered once, from the record ``SessionLog.round``
-    gives for it, with a marker in place of the round id.
+    A row is its code's head, its round id and its code's tail; the tail
+    table starts each tail with the round id's last digit.  Each code's row
+    is rendered once, from the record ``SessionLog.round`` gives for it,
+    with a marker in place of the round id.
     """
     log = SessionLog(
         config=SessionConfig(n_rounds=_ROW_CODES, upsilon=upsilon),
@@ -487,7 +508,8 @@ def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndar
         for rec in log.iter_rounds()
     ]
     heads = np.array([head for head, _, _ in split], dtype=object)
-    tails = np.array([tail for _, _, tail in split], dtype=object)
+    tails = np.array([[str(digit) + tail for _, _, tail in split] for digit in range(10)],
+                     dtype=object)
     heads.flags.writeable = tails.flags.writeable = False  # shared through the cache
     return heads, tails
 
@@ -537,8 +559,8 @@ def _map_chunk(
 
 
 def _check_workers(workers: int) -> None:
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    if not _is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
 def _map_chunks(config: SessionConfig, workers: int, fn):

@@ -1,4 +1,6 @@
-"""Shared fixtures: fixed-pair draws from the session sampler."""
+"""Shared helpers: fixed-pair draws from the session sampler and traced peak memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,3 +31,13 @@ def top_bits(words):
 @pytest.fixture(name="draw_pair")
 def draw_pair_fixture():
     return draw_pair
+
+
+def peak_traced_mb(fn) -> float:
+    """Peak traced allocation, in MiB, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -6,7 +6,10 @@ import math
 import pytest
 
 import scqkd.cli as cli
+from scqkd import protocol
 from scqkd.ontology import IntegrityViolationError
+
+from conftest import peak_traced_mb
 
 
 def run_cli(*argv):
@@ -73,6 +76,20 @@ class TestSimulate:
         assert len(lines) == 10001
         report = json.loads(capsys.readouterr().out)
         assert "key_rate" in report
+
+    def test_export_memory_is_flat_in_the_session_length(self, tmp_path):
+        out = tmp_path / "rounds.json"
+
+        def peak(n):
+            argv = ["simulate", "--rounds", str(n), "--upsilon", repr(math.pi / 6),
+                    "--seed", "3", "--include-rounds", "--out", str(out)]
+            return peak_traced_mb(lambda: run_cli(*argv))
+
+        small = peak(200_000)
+        chunk_mb = out.stat().st_size / 200_000 * protocol.SAMPLING_BLOCK / 2**20
+        # The document is written a chunk of rows at a time, never whole:
+        # four times the rounds may hold more columns, not more text.
+        assert peak(800_000) <= small + chunk_mb
 
     def test_full_strength_attack_is_insecure(self, tmp_path):
         out = tmp_path / "attacked.json"

@@ -3,7 +3,8 @@
 The digests cover what a user receives from ``scqkd simulate``: the
 ``--include-rounds`` JSON artifact, the ``--format csv`` file and the
 report that the CSV run prints to stdout.  A change that alters any byte
-is a behaviour change and must re-pin them on purpose.
+is a behaviour change and must re-pin them on purpose.  Written to stdout
+(``--out -``), both artifacts are the same bytes as in a file.
 """
 
 import hashlib
@@ -47,3 +48,16 @@ def test_csv_file_and_printed_report_are_pinned(tmp_path, capsys):
     assert cli.main([*ARGV, "--format", "csv", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == CSV_SHA256
     assert sha256(capsys.readouterr().out.encode()) == CSV_REPORT_SHA256
+
+
+def test_stdout_gets_the_json_artifacts_bytes(json_artifact, capsysbinary):
+    assert cli.main([*ARGV, "--include-rounds", "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == json_artifact
+
+
+def test_stdout_gets_the_csv_files_bytes_then_the_report(tmp_path, capsysbinary):
+    out = tmp_path / "rounds.csv"
+    assert cli.main([*ARGV, "--format", "csv", "--out", str(out)]) == 0
+    report = capsysbinary.readouterr().out
+    assert cli.main([*ARGV, "--format", "csv", "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes() + report

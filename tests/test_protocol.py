@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -32,6 +31,8 @@ from scqkd.protocol import (
     sift,
     summarize_session,
 )
+
+from conftest import peak_traced_mb
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -233,6 +234,12 @@ class TestRoundView:
         for i in range(len(first)):
             assert first.round(i) == second.round(i)
 
+    @pytest.mark.parametrize("i", [-1, 50, -51])
+    def test_round_outside_the_session_is_an_index_error(self, i):
+        log = run_session(SessionConfig(n_rounds=50, seed=5))
+        with pytest.raises(IndexError, match="outside"):
+            log.round(i)
+
     def test_announcement_is_a_function_of_the_outcome(self):
         log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=17))
         for i, rec in enumerate(log.iter_rounds()):
@@ -278,6 +285,20 @@ class TestRunSession:
         with pytest.raises(ValueError, match="workers"):
             run_session(SessionConfig(n_rounds=10), workers=0)
 
+    @pytest.mark.parametrize("session", [run_session, summarize_session])
+    @pytest.mark.parametrize("workers", [True, 2.0])
+    def test_bool_or_float_worker_count_rejected(self, session, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            session(SessionConfig(n_rounds=10), workers=workers)
+
+    def test_numpy_integer_worker_count_accepted(self):
+        config = SessionConfig(n_rounds=3_000, upsilon=math.pi / 4, seed=13)
+        log = run_session(config, workers=np.int64(2))
+        assert log.to_json(include_rounds=True) == run_session(config).to_json(include_rounds=True)
+        np.testing.assert_array_equal(
+            summarize_session(config, workers=np.int64(2)).histogram, log.histogram
+        )
+
     def test_ideal_rounds_never_click_d0_on_double_reflect(self):
         log = run_session(SessionConfig(n_rounds=10_000, seed=3))
         counters = log.counters
@@ -317,15 +338,6 @@ class TestRunSession:
         assert sum(counters.values()) == len(log)
         for key, count in counters.items():
             assert recount.get(key, 0) == count
-
-
-def peak_traced_mb(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestSummary:

@@ -1,13 +1,17 @@
 """Per-round JSON and CSV rows against a reference renderer built on ``round(i)``.
 
 ``to_json(include_rounds=True)`` and ``to_csv()`` render rows from
-templates precomputed per row code.  The reference below formats each row
-from the ``RoundRecord`` that ``SessionLog.round`` materializes, one dict
-per round, as the serializers did before the templates.
+templates precomputed per row code, a chunk of ``SAMPLING_BLOCK`` rows at
+a time, with each round id split into its decade and its last digit.  The
+reference below formats each row from the ``RoundRecord`` that
+``SessionLog.round`` materializes, one dict per round, as the serializers
+did before the templates.
 """
 
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
+from scqkd import protocol
 from scqkd.protocol import SessionConfig, SessionLog, run_session, sampling_tables
 
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
@@ -23,7 +28,9 @@ ROUNDS = 5_000
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 
 
-def reference_rows(log) -> list[dict]:
+def reference_rows(log, ids=None) -> list[dict]:
+    """The rows of rounds ``ids`` (default: every round), in that order."""
+    records = log.iter_rounds() if ids is None else map(log.round, ids)
     return [
         {
             "round_id": rec.round_id,
@@ -35,7 +42,7 @@ def reference_rows(log) -> list[dict]:
             "sifted": rec.sifted,
             "disclosed": rec.disclosed_for_check,
         }
-        for rec in log.iter_rounds()
+        for rec in records
     ]
 
 
@@ -48,14 +55,17 @@ def reference_json(log) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def reference_csv_line(row: dict) -> str:
+    return (
+        f"{row['round_id']},{row['alice']},{row['bob']},{row['outcome']},"
+        f"{row['announced']},{row['eve_result'] or ''},"
+        f"{str(row['sifted']).lower()},{str(row['disclosed']).lower()}"
+    )
+
+
 def reference_csv_lines(log) -> list[str]:
     lines = ["round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed"]
-    for row in reference_rows(log):
-        lines.append(
-            f"{row['round_id']},{row['alice']},{row['bob']},{row['outcome']},"
-            f"{row['announced']},{row['eve_result'] or ''},"
-            f"{str(row['sifted']).lower()},{str(row['disclosed']).lower()}"
-        )
+    lines.extend(map(reference_csv_line, reference_rows(log)))
     return lines
 
 
@@ -141,3 +151,41 @@ def test_any_columns_render_like_the_reference(n, upsilon, seed):
         disclosed=rng.random(n) < 0.5,
     )
     assert_rows_match_reference(log)
+
+
+#: Sessions whose round ids cross each digit width up to 9_999 / 10_000.
+WIDTH_CROSSING_ROUNDS = [11, 101, 1_001, 10_001]
+
+
+@pytest.mark.parametrize("n", WIDTH_CROSSING_ROUNDS)
+@pytest.mark.parametrize("block", [7, 13, 1_000])
+def test_rows_match_the_reference_across_chunk_boundaries(block, n):
+    """Chunks that are not a multiple of ten rows split decades between chunks."""
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
+        log = run_session(SessionConfig(n, upsilon=math.pi / 6, seed=n, check_fraction=0.3))
+        assert_rows_match_reference(log)
+
+
+def test_rows_of_a_session_above_one_chunk_match_the_reference():
+    """Rows around every chunk boundary and every digit width up to 99_999 / 100_000."""
+    n = 100_005
+    log = run_session(SessionConfig(n, upsilon=math.pi / 6, seed=7, check_fraction=0.3))
+    edges = {protocol.SAMPLING_BLOCK * k for k in range(1, n // protocol.SAMPLING_BLOCK + 1)}
+    edges |= {10**k for k in range(1, 6)} | {n}
+    ids = sorted({i for edge in edges for i in range(edge - 3, edge + 3) if 0 <= i < n} | {0})
+    expected = reference_rows(log, ids)
+
+    document = log.to_json(include_rounds=True)
+    head = json.dumps({"config": log.config.as_dict(),
+                       "counters": {",".join(k): v for k, v in log.counters.items()},
+                       "rounds": []}, sort_keys=True, separators=(",", ":"))
+    assert document.startswith(head[:-2]) and document.endswith("]}\n")
+    rows = re.findall(r"\{[^{}]*\}", document[len(head) - 2:])
+    assert len(rows) == n
+    for i, row in zip(ids, expected):
+        assert rows[i] == json.dumps(row, sort_keys=True, separators=(",", ":")), i
+
+    lines = log.to_csv().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    for i, row in zip(ids, expected):
+        assert lines[i + 1] == reference_csv_line(row), i
