@@ -427,13 +427,12 @@ class SessionLog(_HistogramViews):
         """
         heads, tails = _row_templates(self.config.upsilon, fmt)
         codes = self._row_codes()
-        n = len(codes)
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
             yield super().to_json()[:-2] + ',"rounds":['
         else:
             yield "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n"
-        for lo in range(0, n, SAMPLING_BLOCK):
+        for lo in range(0, len(codes), SAMPLING_BLOCK):
             chunk = codes[lo:lo + SAMPLING_BLOCK]
             decade, digit = np.divmod(np.arange(lo, lo + len(chunk)), 10)
             first = lo // 10

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
 from scqkd import protocol
+from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
 from scqkd.protocol import SessionConfig, SessionLog, run_session, sampling_tables
 
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
