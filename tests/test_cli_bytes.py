@@ -1,10 +1,11 @@
-"""Pinned bytes of the CLI's simulate outputs at one fixed configuration.
+"""Pinned bytes of the CLI's simulate and sweep outputs at fixed configurations.
 
 The digests cover what a user receives from ``scqkd simulate``: the
 ``--include-rounds`` JSON artifact, the ``--format csv`` file and the
-report that the CSV run prints to stdout.  A change that alters any byte
-is a behaviour change and must re-pin them on purpose.  Written to stdout
-(``--out -``), both artifacts are the same bytes as in a file.
+report that the CSV run prints to stdout; and from ``scqkd sweep``: the
+JSON and the CSV security curve.  A change that alters any byte is a
+behaviour change and must re-pin them on purpose.  Written to stdout
+(``--out -``), both simulate artifacts are the same bytes as in a file.
 """
 
 import hashlib
@@ -21,6 +22,14 @@ ARGV = ["simulate", "--rounds", "5000", "--upsilon", repr(math.pi / 6), "--seed"
 JSON_SHA256 = "5cc17006ff9dd86bb6eef5c2b5f7cda8f9481d23d3a85d196270df48372e0b2e"
 CSV_SHA256 = "5630015719ca4e8bc24a3094f8921b973ff6e0c73687d5bbb629f5a406aac26c"
 CSV_REPORT_SHA256 = "6b7fea92107e3da5fed217249ee238d4863e1b3a17f24e12e197296d195f17fc"
+
+# Angle 0, pi/2, a middle angle twice; 150 000 rounds span three chunks of 2**16.
+SWEEP_ARGV = ["sweep", "--rounds", "150000", "--seed", "7", "--check-fraction", "0.1",
+              "--grid", f"0,0.7,{math.pi / 2!r},0.7"]
+SWEEP_SHA256 = {
+    "json": "b3b7cb49c66c4eabb30c3cc389aaf6b135b40680a5e3be40beb3b48f68a216cf",
+    "csv": "81e1dd57fd2667b015e2d9598b844de8b3ba89b400654df36b81d9b27b79563e",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -61,3 +70,12 @@ def test_stdout_gets_the_csv_files_bytes_then_the_report(tmp_path, capsysbinary)
     report = capsysbinary.readouterr().out
     assert cli.main([*ARGV, "--format", "csv", "--out", "-"]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes() + report
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_output_is_pinned(tmp_path, fmt, workers):
+    out = tmp_path / f"sweep.{fmt}"
+    assert cli.main([*SWEEP_ARGV, "--workers", workers, "--format", fmt,
+                     "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == SWEEP_SHA256[fmt]
