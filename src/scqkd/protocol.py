@@ -17,8 +17,11 @@ Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
 of the session's histogram of row codes.  ``summarize_session`` keeps only
 that histogram; ``run_session`` also maps the per-round columns, at once
-or when one is first read.  Both map the rounds chunk by chunk through
-the same kernel, ``_map_chunk``.
+or when one is first read.  Both run the rounds chunk by chunk through
+one kernel in two steps: ``_draw_chunk`` draws a chunk's words and
+``_map_draws`` maps them through one angle's tables into row codes.
+Sessions that differ only in upsilon share every draw, so
+``summarize_sweep`` draws each chunk once and maps it at each angle.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -540,20 +543,25 @@ def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _map_chunk(
-    config: SessionConfig, tables: SamplingTables, lo: int, disclosed: np.ndarray
-) -> np.ndarray:
-    """Row codes of rounds ``lo`` to ``lo + len(disclosed)``: the one session kernel.
+def _draw_chunk(seed: int, lo: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair codes and the top 53 bits of words 2 and 3 of rounds ``lo`` to ``lo + n``.
 
     Round i's four words are Philox counter step i of the round stream,
     so the chunk draws them at its own counter step ``lo``.  A choice is
     Reflect when its uniform is at least 0.5: its word's top bit is set.
+    Words 2 and 3 are returned as strided views of the chunk's word array.
     """
-    k = _philox_words(config.seed, ROUND_STREAM, lo, len(disclosed))
+    k = _philox_words(seed, ROUND_STREAM, lo, n)
     k >>= 64 - _UNIFORM_BITS  # each word's top 53 bits; its uniform is k * 2**-53
     pair = (k[:, 0] >= _HALF).view(np.uint8) * 2
     pair += k[:, 1] >= _HALF
-    outcome, eve = _sample_codes(tables, pair, k[:, 2], k[:, 3])
+    return pair, k[:, 2], k[:, 3]
+
+
+def _map_draws(tables: SamplingTables, draws: tuple, disclosed: np.ndarray) -> np.ndarray:
+    """Row codes of a chunk's draws at one angle; the draws are left as they were."""
+    pair, k_outcome, k_eve = draws
+    outcome, eve = _sample_codes(tables, pair, k_outcome, k_eve)
     return _encode(pair, outcome, eve, disclosed)
 
 
@@ -562,33 +570,51 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
-def _map_chunks(config: SessionConfig, workers: int, fn):
-    """Yield ``fn(lo, codes)`` for each chunk of ``SAMPLING_BLOCK`` rounds, in order.
+def _map_chunks(configs: list[SessionConfig], workers: int, fn):
+    """Yield ``[fn(lo, codes) for each config]`` per chunk of ``SAMPLING_BLOCK`` rounds.
 
-    Chunks are mapped on a pool of ``workers`` threads, each drawing its
-    round uniforms at its own counter step.  The disclosure stream packs
-    four rounds into each counter step; the calling thread draws it in
-    order, a chunk at a time, while the workers map earlier chunks, and
-    hands each chunk its mask.  At most two chunks per worker are in
-    flight, so memory does not grow with the session.  Worker threads
-    call only numpy and private helpers, never a public function.
+    The configs differ only in upsilon.  On a pool of ``workers`` threads,
+    each chunk's words are drawn once, at the chunk's own counter step,
+    and mapped at every config's angle.  The disclosure stream packs four
+    rounds into each counter step; the calling thread draws it in order,
+    a chunk at a time, while the workers map earlier chunks, and hands
+    each chunk its mask.  At most two chunks per worker are in flight, so
+    memory does not grow with the session.  Worker threads call only
+    numpy and private helpers, never a public function.
     """
-    n = config.n_rounds
-    tables = sampling_tables(config.upsilon)
-    disclose = philox_stream(config.seed, DISCLOSE_STREAM)
+    n, seed, check_fraction = configs[0].n_rounds, configs[0].seed, configs[0].check_fraction
+    per_angle = [sampling_tables(config.upsilon) for config in configs]
+    disclose = philox_stream(seed, DISCLOSE_STREAM)
 
-    def task(lo: int, disclosed: np.ndarray):
-        return fn(lo, _map_chunk(config, tables, lo, disclosed))
+    def task(lo: int, disclosed: np.ndarray) -> list:
+        draws = _draw_chunk(seed, lo, len(disclosed))
+        return [fn(lo, _map_draws(tables, draws, disclosed)) for tables in per_angle]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: collections.deque = collections.deque()
         for lo in range(0, n, SAMPLING_BLOCK):
-            disclosed = disclose.random(min(SAMPLING_BLOCK, n - lo)) < config.check_fraction
+            disclosed = disclose.random(min(SAMPLING_BLOCK, n - lo)) < check_fraction
             pending.append(pool.submit(task, lo, disclosed))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionSummary]:
+    """The summary of ``config`` at each angle of ``upsilons``, in order, from one pass.
+
+    Each equals ``summarize_session`` of ``config`` at that angle, for any
+    worker count; each chunk's words and disclosure mask are drawn once.
+    """
+    _check_workers(workers)
+    configs = [replace(config, upsilon=upsilon) for upsilon in upsilons]
+    if not configs:
+        return []
+    histograms = np.zeros((len(configs), _ROW_CODES), dtype=np.int64)
+    for counts in _map_chunks(configs, workers, lambda lo, codes: _count_codes(codes)):
+        histograms += counts
+    return [SessionSummary(config=c, histogram=h) for c, h in zip(configs, histograms)]
 
 
 def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary:
@@ -597,11 +623,7 @@ def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary
     Equal to ``run_session(config).histogram`` for any worker count, and
     it never holds more than a few chunks of rounds.
     """
-    _check_workers(workers)
-    histogram = np.zeros(_ROW_CODES, dtype=np.int64)
-    for counts in _map_chunks(config, workers, lambda lo, codes: _count_codes(codes)):
-        histogram += counts
-    return SessionSummary(config=config, histogram=histogram)
+    return summarize_sweep(config, [config.upsilon], workers)[0]
 
 
 def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
@@ -613,7 +635,7 @@ def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
         for name, column in _decode(codes).items():
             columns[name][lo:lo + len(codes)] = column
 
-    for _ in _map_chunks(config, workers, write):
+    for _ in _map_chunks([config], workers, write):
         pass
     return columns
 

@@ -21,7 +21,8 @@ from .protocol import (
     SessionConfig,
     SessionLog,
     SessionSummary,
-    run_session,
+    run_session,  # noqa: F401  public here too: callers and tracers reach it through this module
+    summarize_sweep,
 )
 
 _REFLECT = CHOICES_BY_CODE.index(Choice.REFLECT)
@@ -195,17 +196,9 @@ def sweep_reports(
     check_fraction: float = 0.1,
     workers: int = 1,
 ) -> list[SecurityReport]:
-    """Run one session per grid angle and estimate each, in input order."""
-    reports = []
-    for upsilon in upsilon_grid:
-        config = SessionConfig(
-            n_rounds=n_rounds,
-            upsilon=float(upsilon),
-            seed=seed,
-            check_fraction=check_fraction,
-        )
-        reports.append(estimate_from_session(run_session(config, workers=workers)))
-    return reports
+    """Summarize one session per grid angle, in one pass, and estimate each, in input order."""
+    config = SessionConfig(n_rounds=n_rounds, seed=seed, check_fraction=check_fraction)
+    return [estimate_from_session(s) for s in summarize_sweep(config, upsilon_grid, workers)]
 
 
 #: Column order of the sweep CSV.

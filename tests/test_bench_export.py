@@ -43,14 +43,18 @@ def test_medians_commit_and_machine_are_copied(tmp_path):
     assert p["machine"] == MACHINE
     assert p["build"] == {"python": "3.11.7", "numpy": "2.4.6", "scqkd": "0.1.0"}
     sim = p["workloads"]["sim"]
-    assert [r["seed"] for r in sim["runs"]] == [0, 1, 2]  # the traced run is left out
+    assert [r["seed"] for r in sim["runs"]] == [0, 1, 2]  # the traced run is listed apart
+    assert sim["traced"] == [{"seed": 0, "seconds": 32.0, "correct": True, "attempted": 4,
+                              "failed": 0}]
+    assert "traced" not in doc["sides"]["change"]["workloads"]["sim"]
     assert sim["median"] == {"rounds_per_s": 2.0, "peak_rss_mb": 41.0}
     assert sim["unit"] == {"rounds_per_s": "rounds/s", "peak_rss_mb": "MB"}
     assert doc["sides"]["change"]["workloads"]["sim"]["median"]["rounds_per_s"] == 5.0
 
 
 @pytest.mark.parametrize("second", [record("sim", 1, 2.0, commit="other"),
-                                    dict(record("sim", 1, 2.0), info=dict(INFO, numpy="1.0"))])
+                                    dict(record("sim", 1, 2.0), info=dict(INFO, numpy="1.0")),
+                                    record("sim", 0, 2.0, commit="other", trace=1)])
 def test_runs_of_two_builds_in_one_directory_are_refused(tmp_path, second):
     results = write(tmp_path / "r", record("sim", 0, 1.0), second)
     out = tmp_path / "BENCH.json"

@@ -1,5 +1,6 @@
 """Property tests of the columnar session log's invariants and of its summary."""
 
+import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import OUTCOME_ORDER, Outcome
-from scqkd.protocol import SessionConfig, run_session, sift, summarize_session
-from scqkd.security import InsufficientCheckDataError, estimate_from_session
+from scqkd.protocol import SessionConfig, run_session, sift, summarize_session, summarize_sweep
+from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
@@ -105,6 +106,35 @@ def test_summary_report_bytes_equal_the_log_report_bytes(config, workers):
     assert summary.to_json() == log.to_json()
     assert summary.counters == log.counters
     assert report_or_error(summary) == report_or_error(log)
+
+
+# Few distinct values, so grids often repeat an angle; the ends 0 and pi/2 drawn often.
+grid_angles = st.sampled_from([0.0, math.pi / 2, math.pi / 6]) | st.floats(0.0, math.pi / 2)
+
+
+def reports_or_error(make_reports) -> list[str] | str:
+    try:
+        return [report.to_json() for report in make_reports()]
+    except InsufficientCheckDataError as exc:
+        return f"InsufficientCheckDataError: {exc}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.lists(grid_angles, min_size=1, max_size=5), n=st.integers(1, 5_000),
+       seed=st.integers(0, 2**64 - 1), check_fraction=st.floats(0.0, 1.0),
+       block=st.integers(1, 2_000), workers=st.integers(1, 4))
+def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, block, workers):
+    base = SessionConfig(n_rounds=n, seed=seed, check_fraction=check_fraction)
+    singles = [summarize_session(dataclasses.replace(base, upsilon=u)) for u in grid]
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
+        sweep = summarize_sweep(base, grid, workers=workers)
+        reports = reports_or_error(
+            lambda: sweep_reports(grid, n, seed=seed, check_fraction=check_fraction,
+                                  workers=workers))
+    assert [s.config for s in sweep] == [s.config for s in singles]
+    for summary, single in zip(sweep, singles):
+        np.testing.assert_array_equal(summary.histogram, single.histogram)
+    assert reports == reports_or_error(lambda: map(estimate_from_session, singles))
 
 
 # Threshold values with the row edges 0 and 2**53 and their neighbours drawn often.

@@ -419,7 +419,11 @@ class TestSummary:
         config = SessionConfig(n_rounds=2**16, upsilon=math.pi / 6, seed=15)
         tables = sampling_tables(config.upsilon)
         disclosed = np.zeros(config.n_rounds, dtype=bool)
-        assert peak_traced_mb(lambda: protocol._map_chunk(config, tables, 0, disclosed)) <= 3.4
+
+        def kernel():
+            draws = protocol._draw_chunk(config.seed, 0, config.n_rounds)
+            return protocol._map_draws(tables, draws, disclosed)
+        assert peak_traced_mb(kernel) <= 3.4
 
 
 class TestDisclosure:

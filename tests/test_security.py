@@ -218,3 +218,14 @@ class TestSweep:
             "upsilon,visibility,epsilon_analytic,epsilon_estimate,"
             "i_bob,i_eve,key_rate,secure"
         ]
+
+    @pytest.mark.parametrize("angle", [True, "0.5"])
+    def test_bool_or_string_angle_rejected(self, angle):
+        # The angle reaches SessionConfig as given: no float() turns True into 1.0.
+        with pytest.raises(ValueError, match="upsilon must lie in"):
+            sweep_reports([angle], n_rounds=10_000, seed=321)
+
+    def test_numpy_float_angle_accepted(self):
+        reports = sweep_reports([np.float64(0.5)], n_rounds=10_000, seed=321)
+        assert reports == sweep_reports([0.5], n_rounds=10_000, seed=321)
+        assert type(reports[0].upsilon) is float

@@ -5,12 +5,13 @@ Usage (from the root of a checkout):
     python3 tools/bench_export.py --out BENCH_6.json parent=DIR change=DIR
 
 Each DIR is a ``perfbench/results`` directory; its label names it in the
-output.  Only end-to-end runs (``--trace 0``) are read.  Every run in one
-directory must come from the same git commit and machine.  For each label
-and workload the file keeps the commit, the machine and build info, each
-run's end-to-end metrics (each already a median over the run's
-operations) and the median of every metric over the runs.  It changes no
-workload, metric or bound.
+output.  Every run in one directory must come from the same git commit
+and machine.  For each label and workload the file keeps the commit, the
+machine and build info, each end-to-end run's (``--trace 0``) metrics
+(each already a median over the run's operations) and the median of
+every metric over those runs.  Traced runs (``--trace 1``) are listed
+apart, with only their seed, length, correctness and operation counts.
+It changes no workload, metric or bound.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ import sys
 from pathlib import Path
 
 
-def _load_runs(results: Path) -> list[dict]:
-    runs = [json.loads(path.read_text()) for path in sorted(results.glob("*-trace0.json"))]
-    if not runs:
-        raise ValueError(f"{results}: no end-to-end (--trace 0) results")
-    return runs
+def _load_runs(results: Path, trace: int) -> list[dict]:
+    return [json.loads(path.read_text()) for path in sorted(results.glob(f"*-trace{trace}.json"))]
 
 
 def _only(values: list, what: str, results: Path):
@@ -38,9 +36,13 @@ def _only(values: list, what: str, results: Path):
 
 def side(results: Path) -> dict:
     """One label's entry: commit, machine, build, and per-workload runs and medians."""
-    runs = _load_runs(results)
-    machine = [{k: v for k, v in r["machine"].items() if k != "git_commit"} for r in runs]
-    build = [{k: r["info"][k] for k in ("python", "numpy", "scqkd")} for r in runs]
+    runs = _load_runs(results, trace=0)
+    if not runs:
+        raise ValueError(f"{results}: no end-to-end (--trace 0) results")
+    traced = _load_runs(results, trace=1)
+    every = runs + traced
+    machine = [{k: v for k, v in r["machine"].items() if k != "git_commit"} for r in every]
+    build = [{k: r["info"][k] for k in ("python", "numpy", "scqkd")} for r in every]
     workloads: dict[str, dict] = {}
     for run in sorted(runs, key=lambda r: (r["workload"], r["seed"])):
         entry = workloads.setdefault(run["workload"], {"runs": [], "median": {}, "unit": {}})
@@ -49,11 +51,16 @@ def side(results: Path) -> dict:
                               "correct": run["result"]["correct"],
                               **{name: m["value"] for name, m in metrics.items()}})
         entry["unit"].update({name: m["unit"] for name, m in metrics.items()})
+    for run in sorted(traced, key=lambda r: (r["workload"], r["seed"])):
+        entry = workloads.setdefault(run["workload"], {"runs": [], "median": {}, "unit": {}})
+        entry.setdefault("traced", []).append(
+            {"seed": run["seed"], "seconds": run["seconds"],
+             **{k: run["result"][k] for k in ("correct", "attempted", "failed")}})
     for entry in workloads.values():
         for name in entry["unit"]:
             entry["median"][name] = statistics.median(r[name] for r in entry["runs"])
     return {
-        "git_commit": _only([r["machine"]["git_commit"] for r in runs], "git commit", results),
+        "git_commit": _only([r["machine"]["git_commit"] for r in every], "git commit", results),
         "machine": _only(machine, "machine", results),
         "build": _only(build, "build", results),
         "workloads": workloads,
@@ -66,7 +73,7 @@ def main(argv=None) -> int:
     parser.add_argument("sides", nargs="+", metavar="LABEL=DIR",
                         help="a label and the perfbench results directory it names")
     args = parser.parse_args(argv)
-    doc = {"source": "perfbench/run.py --trace 0", "sides": {}}
+    doc = {"source": "perfbench/run.py: --trace 0 (runs), --trace 1 (traced)", "sides": {}}
     try:
         for spec in args.sides:
             label, sep, results = spec.partition("=")
