@@ -192,9 +192,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = values["grid"]
     if grid is None:
         raise ValueError("sweep requires --grid (comma-separated angles)")
-    for v in grid:
-        if not 0.0 <= v <= math.pi / 2:
-            raise ValueError(f"grid angle must lie in [0, pi/2], got {v}")
     reports = sweep_reports(
         grid,
         n_rounds=values["rounds"],

@@ -15,13 +15,14 @@ cannot depend on the worker count used to compute it.
 
 Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
-of the session's histogram of row codes.  ``summarize_session`` keeps only
-that histogram; ``run_session`` also maps the per-round columns, at once
-or when one is first read.  Both run the rounds chunk by chunk through
-one kernel in two steps: ``_draw_chunk`` draws a chunk's words and
-``_map_draws`` maps them through one angle's tables into row codes.
-Sessions that differ only in upsilon share every draw, so
-``summarize_sweep`` draws each chunk once and maps it at each angle.
+of the session's histogram of row codes.  A ``SessionLog`` holds that
+histogram alone until a per-round column is first read, or its five
+columns from the start (``run_session(config, columns=True)``).  Every
+session runs chunk by chunk through one kernel in two steps:
+``_draw_chunk`` draws a chunk's words and ``_map_draws`` maps them
+through one angle's tables into row codes.  Sessions that differ only
+in upsilon share every draw, so ``summarize_sweep`` draws each chunk
+once and maps it at each angle.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -245,63 +247,12 @@ _COLUMN_CODES = {
 }
 
 
-class _HistogramViews:
-    """The views of a session that read only ``config`` and ``histogram``."""
-
-    config: SessionConfig
-    histogram: np.ndarray
-
-    @property
-    def counters(self) -> dict[tuple[str, str, str], int]:
-        """Counts per (alice choice, bob choice, outcome) cell, all 16 cells."""
-        # The cell is the row code's top four bits: alice * 8 + bob * 4 + outcome.
-        flat = self.histogram.reshape(16, -1).sum(1)
-        out: dict[tuple[str, str, str], int] = {}
-        for a in range(2):
-            for b in range(2):
-                for o, outcome in enumerate(OUTCOME_ORDER):
-                    key = (CHOICES_BY_CODE[a].value, CHOICES_BY_CODE[b].value, outcome.value)
-                    out[key] = int(flat[a * 8 + b * 4 + o])
-        return out
-
-    def to_json(self) -> str:
-        """Config and counters as a canonical JSON document (stable bytes per config)."""
-        doc = {
-            "config": self.config.as_dict(),
-            "counters": {",".join(k): v for k, v in self.counters.items()},
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _count_codes(codes: np.ndarray) -> np.ndarray:
     """Rounds per row code, a chunk at a time: ``bincount`` widens its input to intp."""
     counts = np.zeros(_ROW_CODES, dtype=np.int64)
     for lo in range(0, len(codes), SAMPLING_BLOCK):
         counts += np.bincount(codes[lo:lo + SAMPLING_BLOCK], minlength=_ROW_CODES)
     return counts
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True, eq=False)
-class SessionSummary(_HistogramViews):
-    """A session's config and its histogram of row codes, without the rounds."""
-
-    config: SessionConfig
-    histogram: np.ndarray
-
-    def __post_init__(self) -> None:
-        histogram = np.array(self.histogram, dtype=np.int64)
-        if histogram.shape != (_ROW_CODES,) or histogram.min() < 0:
-            raise ValueError(f"histogram must hold {_ROW_CODES} non-negative counts")
-        if histogram.sum() != self.config.n_rounds:
-            raise ValueError(
-                f"histogram counts {histogram.sum()} rounds, config says {self.config.n_rounds}"
-            )
-        object.__setattr__(self, "histogram", _read_only(histogram))
 
 
 class _Column:
@@ -317,17 +268,17 @@ class _Column:
         return log.__dict__[self.name]
 
 
-class SessionLog(_HistogramViews):
-    """Columnar record of a whole session plus per-cell counters.
+class SessionLog:
+    """A whole session: its config and its histogram of row codes or its rounds.
 
     Columns are rounds in order: choice codes (0 = Absorb, 1 = Reflect),
     outcome codes (index into ``OUTCOME_ORDER``), Eve's measurement code
     (-1 when absent) and the disclosure mask.  ``RoundRecord`` views are
     materialized on demand so million-round sessions stay cheap.
 
-    A log from ``run_session`` without ``columns`` holds only its summary
-    until a column is read; the rounds are then mapped again, chunk by
-    chunk, into columns.
+    A log from ``run_session`` without ``columns`` or from
+    ``summarize_sweep`` holds only its read-only histogram until a column
+    is read; the rounds are then mapped again, chunk by chunk, into columns.
     Once a log has columns they are its record: the histogram is counted
     from them on every read, so an edit made in place shows in every view.
     No attribute can be reassigned.
@@ -350,13 +301,21 @@ class SessionLog(_HistogramViews):
                 raise ValueError(f"column {name} has {len(col)} rows, config says {n}")
             if col.min() < lowest or col.max() > highest:
                 raise ValueError(f"column {name} holds codes outside [{lowest}, {highest}]")
-        self.__dict__.update(columns, config=config, _summary=None, _workers=1)
+        self.__dict__.update(columns, config=config, _histogram=None, _workers=1)
 
     @classmethod
-    def _of_summary(cls, summary: SessionSummary, workers: int) -> SessionLog:
-        """A log that maps its rounds, on ``workers`` threads, when a column is first read."""
+    def _of_histogram(cls, config: SessionConfig, histogram, workers: int) -> SessionLog:
+        """A log that holds only ``histogram``: 128 non-negative counts that sum to ``n_rounds``."""
+        histogram = np.array(histogram, dtype=np.int64)
+        if histogram.shape != (_ROW_CODES,) or histogram.min() < 0:
+            raise ValueError(f"histogram must hold {_ROW_CODES} non-negative counts")
+        if histogram.sum() != config.n_rounds:
+            raise ValueError(
+                f"histogram counts {histogram.sum()} rounds, config says {config.n_rounds}"
+            )
+        histogram.flags.writeable = False
         log = cls.__new__(cls)
-        log.__dict__.update(config=summary.config, _summary=summary, _workers=workers)
+        log.__dict__.update(config=config, _histogram=histogram, _workers=workers)
         return log
 
     def __setattr__(self, name: str, value) -> None:
@@ -367,8 +326,8 @@ class SessionLog(_HistogramViews):
 
     def _materialize(self) -> None:
         """Map the rounds into the five columns, unless the log has them."""
-        if self._summary is not None:
-            self.__dict__.update(_map_columns(self.config, self._workers), _summary=None)
+        if self._histogram is not None:
+            self.__dict__.update(_map_columns(self.config, self._workers), _histogram=None)
 
     def __len__(self) -> int:
         return self.config.n_rounds
@@ -380,10 +339,17 @@ class SessionLog(_HistogramViews):
 
     @property
     def histogram(self) -> np.ndarray:
-        """Rounds per row code: the summary's, or counted from the columns once they exist."""
-        if self._summary is not None:
-            return self._summary.histogram
+        """Rounds per row code: the log's own, or counted from the columns once they exist."""
+        if self._histogram is not None:
+            return self._histogram
         return _count_codes(self._row_codes())
+
+    @property
+    def counters(self) -> dict[tuple[str, str, str], int]:
+        """Counts per (alice choice, bob choice, outcome) cell, all 16 cells."""
+        cells = itertools.product(CHOICES_BY_CODE, CHOICES_BY_CODE, OUTCOME_ORDER)
+        counts = self.histogram.reshape(HISTOGRAM_SHAPE).sum(axis=(3, 4)).ravel().tolist()
+        return {(a.value, b.value, o.value): n for (a, b, o), n in zip(cells, counts)}
 
     def _row_codes(self) -> np.ndarray:
         """Every round's row code."""
@@ -391,7 +357,9 @@ class SessionLog(_HistogramViews):
         return _encode(pair, self.outcome, self.eve_result, self.disclosed)
 
     def round(self, i: int) -> RoundRecord:
-        """Materialize the full record of round ``i``, for ``0 <= i < len(self)``."""
+        """Materialize the full record of round ``i``, an integer in ``[0, len(self))``."""
+        if not _is_integer(i):
+            raise TypeError(f"round index must be an integer, got {i!r}")
         if not 0 <= i < len(self):
             raise IndexError(f"round {i} is outside [0, {len(self)})")
         outcome = OUTCOME_ORDER[self.outcome[i]]
@@ -404,7 +372,7 @@ class SessionLog(_HistogramViews):
             code = int(self.eve_result[i])
             eve_result = EVE_OUTCOME_ORDER[code] if code >= 0 else None
         return RoundRecord(
-            round_id=i,
+            round_id=int(i),
             alice_choice=CHOICES_BY_CODE[self.alice[i]],
             bob_choice=CHOICES_BY_CODE[self.bob[i]],
             outcome=outcome,
@@ -432,7 +400,7 @@ class SessionLog(_HistogramViews):
         codes = self._row_codes()
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
-            yield super().to_json()[:-2] + ',"rounds":['
+            yield self.to_json()[:-2] + ',"rounds":['
         else:
             yield "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n"
         for lo in range(0, len(codes), SAMPLING_BLOCK):
@@ -453,10 +421,14 @@ class SessionLog(_HistogramViews):
             yield "]}\n"
 
     def to_json(self, include_rounds: bool = False) -> str:
-        """Serialize to a canonical JSON document (stable bytes per config)."""
-        if not include_rounds:
-            return super().to_json()
-        return "".join(self._document("json"))
+        """Config, counters and, if asked, rounds as canonical JSON (stable bytes per config)."""
+        if include_rounds:
+            return "".join(self._document("json"))
+        doc = {
+            "config": self.config.as_dict(),
+            "counters": {",".join(k): v for k, v in self.counters.items()},
+        }
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_csv(self) -> str:
         """Per-round CSV with one row per round."""
@@ -601,11 +573,12 @@ def _map_chunks(configs: list[SessionConfig], workers: int, fn):
             yield pending.popleft().result()
 
 
-def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionSummary]:
-    """The summary of ``config`` at each angle of ``upsilons``, in order, from one pass.
+def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionLog]:
+    """The log of ``config`` at each angle of ``upsilons``, in order, from one pass.
 
-    Each equals ``summarize_session`` of ``config`` at that angle, for any
-    worker count; each chunk's words and disclosure mask are drawn once.
+    Each log holds only its histogram and equals ``run_session`` of
+    ``config`` at that angle, for any worker count; each chunk's words and
+    disclosure mask are drawn once.
     """
     _check_workers(workers)
     configs = [replace(config, upsilon=upsilon) for upsilon in upsilons]
@@ -614,16 +587,7 @@ def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[S
     histograms = np.zeros((len(configs), _ROW_CODES), dtype=np.int64)
     for counts in _map_chunks(configs, workers, lambda lo, codes: _count_codes(codes)):
         histograms += counts
-    return [SessionSummary(config=c, histogram=h) for c, h in zip(configs, histograms)]
-
-
-def summarize_session(config: SessionConfig, workers: int = 1) -> SessionSummary:
-    """The session's histogram of row codes, without its rounds.
-
-    Equal to ``run_session(config).histogram`` for any worker count, and
-    it never holds more than a few chunks of rounds.
-    """
-    return summarize_sweep(config, [config.upsilon], workers)[0]
+    return [SessionLog._of_histogram(c, h, workers) for c, h in zip(configs, histograms)]
 
 
 def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
@@ -650,16 +614,17 @@ def run_session(config: SessionConfig, workers: int = 1, *, columns: bool = Fals
     of ``workers`` threads, so any positive worker count produces
     identical results.
 
-    By default only the session's histogram is counted here, and the
-    columns are mapped, on the same pool, when one is first read: a
-    report that reads only the histogram never holds a column.  With
+    By default only the session's histogram is counted here, as by
+    ``summarize_sweep`` at the config's own angle, and the columns are
+    mapped, on as many threads, when one is first read: a report that
+    reads only the histogram never holds a column.  With
     ``columns`` the columns are mapped now instead, which saves a second
     pass over the rounds when the caller reads them.
     """
+    if not columns:
+        return summarize_sweep(config, [config.upsilon], workers)[0]
     _check_workers(workers)
-    if columns:
-        return SessionLog(config, **_map_columns(config, workers))
-    return SessionLog._of_summary(summarize_session(config, workers), workers)
+    return SessionLog(config, **_map_columns(config, workers))
 
 
 @dataclass

@@ -20,7 +20,6 @@ from .protocol import (
     HISTOGRAM_SHAPE,
     SessionConfig,
     SessionLog,
-    SessionSummary,
     run_session,  # noqa: F401  public here too: callers and tracers reach it through this module
     summarize_sweep,
 )
@@ -134,7 +133,7 @@ class SecurityReport:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def estimate_from_session(log: SessionLog | SessionSummary) -> SecurityReport:
+def estimate_from_session(log: SessionLog) -> SecurityReport:
     """Estimate visibility and QBER from the disclosed check subset.
 
     Visibility is the fringe contrast (N_D1 - N_D0)/(N_D1 + N_D0) over
@@ -198,7 +197,7 @@ def sweep_reports(
 ) -> list[SecurityReport]:
     """Summarize one session per grid angle, in one pass, and estimate each, in input order."""
     config = SessionConfig(n_rounds=n_rounds, seed=seed, check_fraction=check_fraction)
-    return [estimate_from_session(s) for s in summarize_sweep(config, upsilon_grid, workers)]
+    return [estimate_from_session(log) for log in summarize_sweep(config, upsilon_grid, workers)]
 
 
 #: Column order of the sweep CSV.
@@ -215,13 +214,13 @@ SWEEP_COLUMNS = (
 
 
 def sweep_csv(reports: list[SecurityReport]) -> str:
-    """Render sweep reports as CSV, numeric fields at 12 significant digits."""
+    """Render sweep reports as CSV: numbers at 12 significant digits, a None angle empty."""
     lines = [",".join(SWEEP_COLUMNS)]
     for r in reports:
         lines.append(
             ",".join(
                 (
-                    f"{r.upsilon:.12g}",
+                    "" if r.upsilon is None else f"{r.upsilon:.12g}",
                     f"{r.visibility_estimate:.12g}",
                     f"{r.epsilon_analytic:.12g}",
                     f"{r.epsilon_estimate:.12g}",

@@ -145,8 +145,13 @@ class TestSweep:
     def test_missing_grid_is_a_config_error(self):
         assert run_cli("sweep", "--rounds", "1000") == 2
 
-    def test_out_of_range_grid_angle_is_a_config_error(self):
-        assert run_cli("sweep", "--grid", "0.5,3.2") == 2
+    @pytest.mark.parametrize("args", [("--grid", "0.5,3.2"), ("--grid", "nan"),
+                                      ("--grid", "-0.1"), ("--grid", "91", "--degrees")])
+    def test_out_of_range_grid_angle_is_a_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "--rounds", "1000", *args, "--out", str(out)) == 2
+        assert "upsilon must lie in [0, pi/2]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreshold:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import OUTCOME_ORDER, Outcome
-from scqkd.protocol import SessionConfig, run_session, sift, summarize_session, summarize_sweep
+from scqkd.protocol import SessionConfig, run_session, sift, summarize_sweep
 from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
@@ -76,10 +76,10 @@ def test_summary_histogram_counts_the_log_rows(config, block):
     expected = np.bincount(row_codes(run_session(config)), minlength=128)
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
         for workers in range(1, 5):
-            summary = summarize_session(config, workers=workers)
+            summary = run_session(config, workers=workers)
             np.testing.assert_array_equal(summary.histogram, expected)
-            np.testing.assert_array_equal(run_session(config, workers=workers).histogram,
-                                          expected)
+            np.testing.assert_array_equal(
+                run_session(config, workers=workers, columns=True).histogram, expected)
 
 
 def report_or_error(session) -> str:
@@ -101,10 +101,11 @@ report_configs = st.builds(
 @settings(max_examples=30, deadline=None)
 @given(config=report_configs, workers=st.integers(1, 4))
 def test_summary_report_bytes_equal_the_log_report_bytes(config, workers):
-    summary = summarize_session(config, workers=workers)
-    log = run_session(config)
+    summary = run_session(config, workers=workers)
+    log = run_session(config, columns=True)
     assert summary.to_json() == log.to_json()
     assert summary.counters == log.counters
+    np.testing.assert_array_equal(summary.histogram, log.histogram)
     assert report_or_error(summary) == report_or_error(log)
 
 
@@ -125,7 +126,7 @@ def reports_or_error(make_reports) -> list[str] | str:
        block=st.integers(1, 2_000), workers=st.integers(1, 4))
 def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, block, workers):
     base = SessionConfig(n_rounds=n, seed=seed, check_fraction=check_fraction)
-    singles = [summarize_session(dataclasses.replace(base, upsilon=u)) for u in grid]
+    singles = [run_session(dataclasses.replace(base, upsilon=u)) for u in grid]
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
         sweep = summarize_sweep(base, grid, workers=workers)
         reports = reports_or_error(
@@ -135,6 +136,11 @@ def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, blo
     for summary, single in zip(sweep, singles):
         np.testing.assert_array_equal(summary.histogram, single.histogram)
     assert reports == reports_or_error(lambda: map(estimate_from_session, singles))
+    # Once a column is read, a sweep's log holds the rounds of its own session.
+    for summary, u in zip(sweep, grid):
+        columns = run_session(dataclasses.replace(base, upsilon=u), columns=True)
+        assert column_digest(summary) == column_digest(columns)
+        np.testing.assert_array_equal(summary.histogram, columns.histogram)
 
 
 # Threshold values with the row edges 0 and 2**53 and their neighbours drawn often.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -24,12 +25,11 @@ from scqkd.protocol import (
     Announcement,
     SessionConfig,
     SessionLog,
-    SessionSummary,
     _sample_codes,
     run_session,
     sampling_tables,
     sift,
-    summarize_session,
+    summarize_sweep,
 )
 
 from conftest import peak_traced_mb
@@ -240,6 +240,19 @@ class TestRoundView:
         with pytest.raises(IndexError, match="outside"):
             log.round(i)
 
+    @pytest.mark.parametrize("i", [True, 1.0, np.float64(3.0)])
+    def test_round_index_that_is_not_an_integer_is_rejected_by_name(self, i):
+        log = run_session(SessionConfig(n_rounds=50, seed=5))
+        message = f"round index must be an integer, got {i!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            log.round(i)
+
+    def test_numpy_integer_round_index_gives_an_int_round_id(self):
+        log = run_session(SessionConfig(n_rounds=50, seed=5))
+        rec = log.round(np.int64(3))
+        assert type(rec.round_id) is int
+        assert rec == log.round(3)
+
     def test_announcement_is_a_function_of_the_outcome(self):
         log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=17))
         for i, rec in enumerate(log.iter_rounds()):
@@ -285,18 +298,18 @@ class TestRunSession:
         with pytest.raises(ValueError, match="workers"):
             run_session(SessionConfig(n_rounds=10), workers=0)
 
-    @pytest.mark.parametrize("session", [run_session, summarize_session])
+    @pytest.mark.parametrize("columns", [False, True])
     @pytest.mark.parametrize("workers", [True, 2.0])
-    def test_bool_or_float_worker_count_rejected(self, session, workers):
+    def test_bool_or_float_worker_count_rejected(self, columns, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
-            session(SessionConfig(n_rounds=10), workers=workers)
+            run_session(SessionConfig(n_rounds=10), workers=workers, columns=columns)
 
     def test_numpy_integer_worker_count_accepted(self):
         config = SessionConfig(n_rounds=3_000, upsilon=math.pi / 4, seed=13)
         log = run_session(config, workers=np.int64(2))
         assert log.to_json(include_rounds=True) == run_session(config).to_json(include_rounds=True)
         np.testing.assert_array_equal(
-            summarize_session(config, workers=np.int64(2)).histogram, log.histogram
+            run_session(config, workers=np.int64(2)).histogram, log.histogram
         )
 
     def test_ideal_rounds_never_click_d0_on_double_reflect(self):
@@ -344,15 +357,15 @@ class TestSummary:
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
     def test_histogram_equals_the_logs_across_chunks(self, upsilon):
         config = SessionConfig(n_rounds=3 * 2**16 + 5, upsilon=upsilon, seed=11)
-        log = run_session(config)
+        log = run_session(config, columns=True)
         for workers in (1, 2):
-            summary = summarize_session(config, workers=workers)
+            summary = run_session(config, workers=workers)
             np.testing.assert_array_equal(summary.histogram, log.histogram)
             assert summary.to_json() == log.to_json()
 
     def test_histograms_are_read_only(self):
         config = SessionConfig(n_rounds=1_000, seed=12)
-        for session in (summarize_session(config), run_session(config)):
+        for session in (run_session(config), *summarize_sweep(config, [0.0, math.pi / 4])):
             with pytest.raises(ValueError):
                 session.histogram[0] += 1
 
@@ -384,11 +397,11 @@ class TestSummary:
     )
     def test_bad_histogram_rejected(self, histogram, message):
         with pytest.raises(ValueError, match=message):
-            SessionSummary(config=SessionConfig(n_rounds=10), histogram=histogram)
+            SessionLog._of_histogram(SessionConfig(n_rounds=10), histogram, workers=1)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            summarize_session(SessionConfig(n_rounds=10), workers=0)
+            summarize_sweep(SessionConfig(n_rounds=10), [None], workers=0)
 
     def test_many_workers_on_small_chunks_lose_no_round(self):
         config = SessionConfig(n_rounds=20_000, upsilon=math.pi / 3, seed=15)
@@ -397,8 +410,8 @@ class TestSummary:
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(protocol, "SAMPLING_BLOCK", 97):
-                summary = summarize_session(config, workers=8)
-                log = run_session(config, workers=8)
+                summary = run_session(config, workers=8)
+                log = run_session(config, workers=8, columns=True)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(summary.histogram, reference.histogram)
@@ -408,7 +421,7 @@ class TestSummary:
     def test_memory_is_flat_in_the_session_length(self):
         def peak(n, workers):
             config = SessionConfig(n_rounds=n, upsilon=math.pi / 6, seed=14)
-            return peak_traced_mb(lambda: summarize_session(config, workers=workers))
+            return peak_traced_mb(lambda: run_session(config, workers=workers))
 
         # One worker: how many chunks overlap in time cannot change the peak.
         assert peak(1_000_000, 1) <= 2 * peak(100_000, 1)

@@ -225,6 +225,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="upsilon must lie in"):
             sweep_reports([angle], n_rounds=10_000, seed=321)
 
+    def test_no_attack_angle_is_an_empty_csv_cell_and_a_json_null(self):
+        reports = sweep_reports([None], n_rounds=10_000, seed=1)
+        rows = sweep_csv(reports).split("\n")
+        assert rows[1].startswith(",")
+        assert len(rows[1].split(",")) == len(rows[0].split(","))
+        assert '"upsilon":null' in reports[0].to_json()
+
     def test_numpy_float_angle_accepted(self):
         reports = sweep_reports([np.float64(0.5)], n_rounds=10_000, seed=321)
         assert reports == sweep_reports([0.5], n_rounds=10_000, seed=321)

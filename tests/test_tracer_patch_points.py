@@ -1,16 +1,25 @@
-"""The benchmark's tracer still finds and wraps every public call it patches.
+"""The benchmark's tracer and fault injections still find what they patch.
 
 ``perfbench/tracing.py`` replaces public functions of each layer by name
 and restores them afterwards.  A rename or removal of one of them makes
-every traced benchmark run raise, so this test enters the tracer, read
+every traced benchmark run raise, so one test enters the tracer, read
 only, around a small ``sweep`` and a small ``simulate --include-rounds``.
+
+``perfbench/tests`` injects two faults into a report-only ``simulate``:
+a ``SessionLog.counters`` property that miscounts a cell, and a
+``cli.run_session`` wrapper with the signature ``(config, workers=1)``
+that edits the log's columns in place.  The other test checks that each
+still changes the bytes that command writes.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import scqkd
 import scqkd.cli as cli
+from scqkd import protocol
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +42,43 @@ def test_traced_sweep_and_export_run_and_record_their_spans(tmp_path):
     assert {"cli.sweep", "security.sweep_reports", "randomness.random",
             "cli.simulate", "protocol.run_session"} <= names
     assert all(span["end"] is not None for span in tracer.spans)
+
+
+def tampered_counters(monkeypatch):
+    counters = protocol.SessionLog.counters
+
+    def tampered(log):
+        counts = counters.fget(log)
+        counts[next(iter(counts))] += 1
+        return counts
+
+    monkeypatch.setattr(protocol.SessionLog, "counters", property(tampered))
+
+
+def skewed_run_session(monkeypatch):
+    run_session = cli.run_session
+
+    def skewed(config, workers=1):
+        log = run_session(config, workers=workers)
+        if workers > 1:
+            log.outcome[0] = (log.outcome[0] + 1) % 4
+        return log
+
+    monkeypatch.setattr(cli, "run_session", skewed)
+
+
+@pytest.mark.parametrize("inject", [tampered_counters, skewed_run_session])
+def test_each_fault_injection_changes_the_report_only_simulate_bytes(tmp_path, monkeypatch,
+                                                                     inject):
+    def simulate(name: str) -> bytes:
+        out = tmp_path / name
+        assert cli.main(["simulate", "--rounds", "20000", "--upsilon", "0.5", "--seed", "1",
+                         "--workers", "2", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    clean = simulate("clean.json")
+    with monkeypatch.context() as patch:
+        inject(patch)
+        faulty = simulate("faulty.json")
+    assert faulty != clean
+    assert simulate("restored.json") == clean
