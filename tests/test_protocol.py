@@ -363,7 +363,7 @@ class TestSummary:
             np.testing.assert_array_equal(summary.histogram, log.histogram)
             assert summary.to_json() == log.to_json()
 
-    def test_histograms_are_read_only(self):
+    def test_stored_histograms_cannot_be_written(self):
         config = SessionConfig(n_rounds=1_000, seed=12)
         for session in (run_session(config), *summarize_sweep(config, [0.0, math.pi / 4])):
             with pytest.raises(ValueError):
