@@ -163,11 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=values["seed"],
         check_fraction=values["check_fraction"],
     )
-    if values["format"] == "csv" or args.include_rounds:
-        session = run_session(config, workers=values["workers"], columns=True)
-    else:
-        # The report reads only the session's histogram, so no column is mapped.
-        session = run_session(config, workers=values["workers"])
+    session = run_session(config, workers=values["workers"])
     report = estimate_from_session(session)
     if values["format"] == "csv":
         _write_output(values["out"], session._document("csv"))

@@ -16,8 +16,8 @@ cannot depend on the worker count used to compute it.
 Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
 of the session's histogram of row codes.  A ``SessionLog`` holds that
-histogram alone until a per-round column is first read, or its five
-columns from the start (``run_session(config, columns=True)``).  Every
+histogram alone until a per-round column is first read; its per-round
+export maps the rounds again and renders them as they come.  Every
 session runs chunk by chunk through one kernel in two steps:
 ``_draw_chunk`` draws a chunk's words and ``_map_draws`` maps them
 through one angle's tables into row codes.  Sessions that differ only
@@ -56,6 +56,10 @@ _HALF = 2**52
 
 #: Rounds per chunk of the session's thread pool.  Results never depend on it.
 SAMPLING_BLOCK = 2**16
+#: Rows per piece of a per-round export: about 0.6 MB of JSON or 0.2 MB of CSV.
+#: Writing 2*10**5 JSON rows took 48-51 ms at 2**10 to 2**14 rows a piece and
+#: 68 ms at 2**16 (2 vCPUs, median of 21), so smaller pieces cost no time.
+_PIECE_ROWS = 2**12
 
 #: Axes of the row-code histogram: alice, bob, outcome, Eve's code + 1, disclosed.
 HISTOGRAM_SHAPE = (2, 2, len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 1, 2)
@@ -276,12 +280,12 @@ class SessionLog:
     (-1 when absent) and the disclosure mask.  ``RoundRecord`` views are
     materialized on demand so million-round sessions stay cheap.
 
-    A log from ``run_session`` without ``columns`` or from
-    ``summarize_sweep`` holds only its read-only histogram until a column
-    is read; the rounds are then mapped again, chunk by chunk, into columns.
-    Once a log has columns they are its record: the histogram is counted
-    from them on every read, so an edit made in place shows in every view.
-    No attribute can be reassigned.
+    A log from ``run_session`` or ``summarize_sweep`` holds only its
+    read-only histogram until a column is read; the rounds are then mapped
+    again, chunk by chunk, into columns.  Once a log has columns they are
+    its record: the histogram is counted and the rows are rendered from
+    them, so an edit made in place shows in every view.  No attribute can
+    be reassigned.
     """
 
     alice = _Column()
@@ -387,8 +391,17 @@ class SessionLog:
         for i in range(len(self)):
             yield self.round(i)
 
+    def _code_pieces(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first round id, row codes) per ``_PIECE_ROWS`` rounds: from the columns, or mapped."""
+        chunks = ([(0, self._row_codes())] if self._histogram is None else
+                  (chunk for [chunk] in _map_chunks([self.config], self._workers,
+                                                    lambda *chunk: chunk)))
+        for lo, codes in chunks:
+            for start in range(0, len(codes), _PIECE_ROWS):
+                yield lo + start, codes[start:start + _PIECE_ROWS]
+
     def _document(self, fmt: str) -> Iterator[str]:
-        """The per-round document in ``fmt``, yielded a chunk of ``SAMPLING_BLOCK`` rows at a time.
+        """The per-round document in ``fmt``, yielded ``_PIECE_ROWS`` rows at a time.
 
         ``to_json(include_rounds=True)`` and ``to_csv()`` join it; the CLI
         writes it piece by piece.  A row is its code's head, its round id
@@ -397,14 +410,12 @@ class SessionLog:
         which the tail table folds into the tail.
         """
         heads, tails = _row_templates(self.config.upsilon, fmt)
-        codes = self._row_codes()
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
             yield self.to_json()[:-2] + ',"rounds":['
         else:
             yield "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n"
-        for lo in range(0, len(codes), SAMPLING_BLOCK):
-            chunk = codes[lo:lo + SAMPLING_BLOCK]
+        for lo, chunk in self._code_pieces():
             decade, digit = np.divmod(np.arange(lo, lo + len(chunk)), 10)
             first = lo // 10
             prefixes = np.array(list(map(str, range(first, decade[-1] + 1))), dtype=object)
@@ -537,11 +548,6 @@ def _map_draws(tables: SamplingTables, draws: tuple, disclosed: np.ndarray) -> n
     return _encode(pair, outcome, eve, disclosed)
 
 
-def _check_workers(workers: int) -> None:
-    if not _is_integer(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-
-
 def _map_chunks(configs: list[SessionConfig], workers: int, fn):
     """Yield ``[fn(lo, codes) for each config]`` per chunk of ``SAMPLING_BLOCK`` rounds.
 
@@ -580,7 +586,8 @@ def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[S
     ``config`` at that angle, for any worker count; each chunk's words and
     disclosure mask are drawn once.
     """
-    _check_workers(workers)
+    if not _is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     configs = [replace(config, upsilon=upsilon) for upsilon in upsilons]
     if not configs:
         return []
@@ -604,7 +611,7 @@ def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
     return columns
 
 
-def run_session(config: SessionConfig, workers: int = 1, *, columns: bool = False) -> SessionLog:
+def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
     """Simulate ``config.n_rounds`` independent rounds.
 
     The log is a pure function of the config: round i's uniforms are
@@ -614,17 +621,12 @@ def run_session(config: SessionConfig, workers: int = 1, *, columns: bool = Fals
     of ``workers`` threads, so any positive worker count produces
     identical results.
 
-    By default only the session's histogram is counted here, as by
-    ``summarize_sweep`` at the config's own angle, and the columns are
-    mapped, on as many threads, when one is first read: a report that
-    reads only the histogram never holds a column.  With
-    ``columns`` the columns are mapped now instead, which saves a second
-    pass over the rounds when the caller reads them.
+    Only the session's histogram is counted here, as by ``summarize_sweep``
+    at the config's own angle.  The columns are mapped, on as many threads,
+    when one is first read; a per-round export maps the rounds once more as
+    it renders them, so neither a report nor an export holds a column.
     """
-    if not columns:
-        return summarize_sweep(config, [config.upsilon], workers)[0]
-    _check_workers(workers)
-    return SessionLog(config, **_map_columns(config, workers))
+    return summarize_sweep(config, [config.upsilon], workers)[0]
 
 
 @dataclass

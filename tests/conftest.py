@@ -1,4 +1,4 @@
-"""Shared helpers: fixed-pair draws from the session sampler and traced peak memory."""
+"""Shared helpers: fixed-pair draws from the session sampler, a log's columns and peak memory."""
 
 import tracemalloc
 
@@ -31,6 +31,12 @@ def top_bits(words):
 @pytest.fixture(name="draw_pair")
 def draw_pair_fixture():
     return draw_pair
+
+
+def with_columns(log):
+    """``log`` once a column has been read: its five columns are then its record."""
+    log.outcome
+    return log
 
 
 def peak_traced_mb(fn) -> float:

@@ -91,6 +91,21 @@ class TestSimulate:
         # four times the rounds may hold more columns, not more text.
         assert peak(800_000) <= small + chunk_mb
 
+    def test_per_round_json_export_holds_pieces_not_columns(self, tmp_path):
+        argv = ["simulate", "--rounds", "200000", "--upsilon", repr(math.pi / 6), "--seed", "3",
+                "--include-rounds", "--out", str(tmp_path / "rounds.json")]
+        # 28 MB of JSON, written 2**12 rows (0.6 MB) at a time, from no column.
+        assert peak_traced_mb(lambda: run_cli(*argv)) < 8
+
+    def test_csv_export_memory_does_not_grow_with_the_session(self, tmp_path, capsys):
+        def peak(n):
+            argv = ["simulate", "--rounds", str(n), "--upsilon", repr(math.pi / 6),
+                    "--seed", "3", "--format", "csv", "--out", str(tmp_path / "rounds.csv")]
+            return peak_traced_mb(lambda: run_cli(*argv))
+
+        peak(1_000)  # builds the cached row templates and sampling tables
+        assert peak(1_000_000) <= peak(100_000) + 1
+
     def test_full_strength_attack_is_insecure(self, tmp_path):
         out = tmp_path / "attacked.json"
         code = run_cli(

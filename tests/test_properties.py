@@ -14,6 +14,8 @@ from scqkd.core import OUTCOME_ORDER, Outcome
 from scqkd.protocol import SessionConfig, run_session, sift, summarize_sweep
 from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
+from conftest import with_columns
+
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
 
@@ -78,8 +80,7 @@ def test_summary_histogram_counts_the_log_rows(config, block):
         for workers in range(1, 5):
             summary = run_session(config, workers=workers)
             np.testing.assert_array_equal(summary.histogram, expected)
-            np.testing.assert_array_equal(
-                run_session(config, workers=workers, columns=True).histogram, expected)
+            np.testing.assert_array_equal(with_columns(summary).histogram, expected)
 
 
 def report_or_error(session) -> str:
@@ -102,11 +103,31 @@ report_configs = st.builds(
 @given(config=report_configs, workers=st.integers(1, 4))
 def test_summary_report_bytes_equal_the_log_report_bytes(config, workers):
     summary = run_session(config, workers=workers)
-    log = run_session(config, columns=True)
+    log = with_columns(run_session(config))
     assert summary.to_json() == log.to_json()
     assert summary.counters == log.counters
     np.testing.assert_array_equal(summary.histogram, log.histogram)
     assert report_or_error(summary) == report_or_error(log)
+
+
+export_upsilons = (st.sampled_from([None, 0.0, math.pi / 6, math.pi / 2])
+                   | st.floats(0.0, math.pi / 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5_000), upsilon=export_upsilons,
+       seed=st.integers(0, 2**64 - 1), check_fraction=st.floats(0.0, 1.0),
+       block=st.integers(1, 2_000), piece=st.integers(1, 50), workers=st.integers(1, 4),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_the_streamed_export_equals_the_column_export(n, upsilon, seed, check_fraction, block,
+                                                      piece, workers, fmt):
+    config = SessionConfig(n, upsilon=upsilon, seed=seed, check_fraction=check_fraction)
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block), \
+            mock.patch.object(protocol, "_PIECE_ROWS", piece):
+        log = run_session(config, workers=workers)
+        streamed = "".join(log._document(fmt))
+        assert "outcome" not in vars(log)
+        assert streamed == "".join(with_columns(log)._document(fmt))
 
 
 # Few distinct values, so grids often repeat an angle; the ends 0 and pi/2 drawn often.
@@ -138,7 +159,7 @@ def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, blo
     assert reports == reports_or_error(lambda: map(estimate_from_session, singles))
     # Once a column is read, a sweep's log holds the rounds of its own session.
     for summary, u in zip(sweep, grid):
-        columns = run_session(dataclasses.replace(base, upsilon=u), columns=True)
+        columns = with_columns(run_session(dataclasses.replace(base, upsilon=u)))
         assert column_digest(summary) == column_digest(columns)
         np.testing.assert_array_equal(summary.histogram, columns.histogram)
 

@@ -32,7 +32,7 @@ from scqkd.protocol import (
     summarize_sweep,
 )
 
-from conftest import peak_traced_mb
+from conftest import peak_traced_mb, with_columns
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -298,11 +298,14 @@ class TestRunSession:
         with pytest.raises(ValueError, match="workers"):
             run_session(SessionConfig(n_rounds=10), workers=0)
 
-    @pytest.mark.parametrize("columns", [False, True])
+    @pytest.mark.parametrize("session", [
+        run_session,
+        lambda config, workers: summarize_sweep(config, [config.upsilon], workers),
+    ], ids=["run_session", "summarize_sweep"])
     @pytest.mark.parametrize("workers", [True, 2.0])
-    def test_bool_or_float_worker_count_rejected(self, columns, workers):
+    def test_bool_or_float_worker_count_rejected(self, session, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
-            run_session(SessionConfig(n_rounds=10), workers=workers, columns=columns)
+            session(SessionConfig(n_rounds=10), workers=workers)
 
     def test_numpy_integer_worker_count_accepted(self):
         config = SessionConfig(n_rounds=3_000, upsilon=math.pi / 4, seed=13)
@@ -357,7 +360,7 @@ class TestSummary:
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
     def test_histogram_equals_the_logs_across_chunks(self, upsilon):
         config = SessionConfig(n_rounds=3 * 2**16 + 5, upsilon=upsilon, seed=11)
-        log = run_session(config, columns=True)
+        log = with_columns(run_session(config))
         for workers in (1, 2):
             summary = run_session(config, workers=workers)
             np.testing.assert_array_equal(summary.histogram, log.histogram)
@@ -371,9 +374,12 @@ class TestSummary:
 
     def test_log_maps_its_columns_only_when_one_is_read(self):
         config = SessionConfig(n_rounds=20_000, upsilon=math.pi / 6, seed=16)
-        eager = run_session(config, columns=True)
+        eager = with_columns(run_session(config))
         log = run_session(config, workers=2)
         assert log.to_json() == eager.to_json()
+        # The per-round export maps the rounds again and keeps no column.
+        assert log.to_json(include_rounds=True) == eager.to_json(include_rounds=True)
+        assert log.to_csv() == eager.to_csv()
         assert not {"alice", "bob", "outcome", "eve_result", "disclosed"} & set(vars(log))
         assert log.outcome is log.outcome
         assert log.to_json(include_rounds=True) == eager.to_json(include_rounds=True)
@@ -411,7 +417,7 @@ class TestSummary:
         try:
             with mock.patch.object(protocol, "SAMPLING_BLOCK", 97):
                 summary = run_session(config, workers=8)
-                log = run_session(config, workers=8, columns=True)
+                log = with_columns(run_session(config, workers=8))
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(summary.histogram, reference.histogram)

@@ -1,8 +1,8 @@
 """Per-round JSON and CSV rows against a reference renderer built on ``round(i)``.
 
 ``to_json(include_rounds=True)`` and ``to_csv()`` render rows from
-templates precomputed per row code, a chunk of ``SAMPLING_BLOCK`` rows at
-a time, with each round id split into its decade and its last digit.  The
+templates precomputed per row code, a piece of ``_PIECE_ROWS`` rows at a
+time, with each round id split into its decade and its last digit.  The
 reference below formats each row from the ``RoundRecord`` that
 ``SessionLog.round`` materializes, one dict per round, as the serializers
 did before the templates.
@@ -157,11 +157,13 @@ def test_any_columns_render_like_the_reference(n, upsilon, seed):
 WIDTH_CROSSING_ROUNDS = [11, 101, 1_001, 10_001]
 
 
+@pytest.mark.parametrize("piece", [3, 7, 4_096])
 @pytest.mark.parametrize("n", WIDTH_CROSSING_ROUNDS)
 @pytest.mark.parametrize("block", [7, 13, 1_000])
-def test_rows_match_the_reference_across_chunk_boundaries(block, n):
-    """Chunks that are not a multiple of ten rows split decades between chunks."""
-    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
+def test_rows_match_the_reference_across_chunk_boundaries(block, n, piece):
+    """Chunks and pieces that are not a multiple of ten rows split decades between them."""
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block), \
+            mock.patch.object(protocol, "_PIECE_ROWS", piece):
         log = run_session(SessionConfig(n, upsilon=math.pi / 6, seed=n, check_fraction=0.3))
         assert_rows_match_reference(log)
 

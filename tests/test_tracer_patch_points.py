@@ -9,7 +9,8 @@ only, around a small ``sweep`` and a small ``simulate --include-rounds``.
 a ``SessionLog.counters`` property that miscounts a cell, and a
 ``cli.run_session`` wrapper with the signature ``(config, workers=1)``
 that edits the log's columns in place.  The other test checks that each
-still changes the bytes that command writes.
+still changes the bytes that command writes, and those of the per-round
+exports that the fault reaches.
 """
 
 import importlib.util
@@ -67,18 +68,27 @@ def skewed_run_session(monkeypatch):
     monkeypatch.setattr(cli, "run_session", skewed)
 
 
-@pytest.mark.parametrize("inject", [tampered_counters, skewed_run_session])
-def test_each_fault_injection_changes_the_report_only_simulate_bytes(tmp_path, monkeypatch,
-                                                                     inject):
-    def simulate(name: str) -> bytes:
+@pytest.mark.parametrize("inject, argv", [
+    (tampered_counters, ()),
+    (skewed_run_session, ()),
+    (tampered_counters, ("--include-rounds",)),
+    (skewed_run_session, ("--include-rounds",)),
+    (skewed_run_session, ("--format", "csv")),
+], ids=["tampered_counters", "skewed_run_session", "tampered_counters-include_rounds",
+        "skewed_run_session-include_rounds", "skewed_run_session-csv"])
+def test_each_fault_injection_changes_the_simulate_bytes(tmp_path, monkeypatch, capsys, inject,
+                                                         argv):
+    def simulate(name: str) -> tuple[bytes, str]:
         out = tmp_path / name
         assert cli.main(["simulate", "--rounds", "20000", "--upsilon", "0.5", "--seed", "1",
-                         "--workers", "2", "--out", str(out)]) == 0
-        return out.read_bytes()
+                         "--workers", "2", "--out", str(out), *argv]) == 0
+        return out.read_bytes(), capsys.readouterr().out
 
-    clean = simulate("clean.json")
+    clean = simulate("clean")
     with monkeypatch.context() as patch:
         inject(patch)
-        faulty = simulate("faulty.json")
-    assert faulty != clean
-    assert simulate("restored.json") == clean
+        faulty = simulate("faulty")
+    assert faulty[0] != clean[0]
+    if "csv" in argv:
+        assert faulty[1] != clean[1]  # the report, which CSV writes to stdout
+    assert simulate("restored") == clean
