@@ -1,9 +1,10 @@
-"""Pinned bytes of the CLI's simulate and sweep outputs at fixed configurations.
+"""Pinned bytes of every CLI command's outputs at fixed configurations.
 
 The digests cover what a user receives from ``scqkd simulate``: the
 ``--include-rounds`` JSON artifact, the ``--format csv`` file and the
-report that the CSV run prints to stdout; and from ``scqkd sweep``: the
-JSON and the CSV security curve.  A change that alters any byte is a
+report that the CSV run prints to stdout; from ``scqkd sweep``: the
+JSON and the CSV security curve; from ``scqkd threshold`` at two
+tolerances; and from ``scqkd ontology`` in both formats.  A change that alters any byte is a
 behaviour change and must re-pin them on purpose.  Written to stdout
 (``--out -``), both simulate artifacts are the same bytes as in a file.
 """
@@ -29,6 +30,15 @@ SWEEP_ARGV = ["sweep", "--rounds", "150000", "--seed", "7", "--check-fraction", 
 SWEEP_SHA256 = {
     "json": "b3b7cb49c66c4eabb30c3cc389aaf6b135b40680a5e3be40beb3b48f68a216cf",
     "csv": "81e1dd57fd2667b015e2d9598b844de8b3ba89b400654df36b81d9b27b79563e",
+}
+
+THRESHOLD_SHA256 = {
+    (): "88943dd15930fcc8445472348b00087a40eed1912c71484ed9fc28d471bc81c2",
+    ("--tolerance", "1e-4"): "6bf6d5a0102c1f5fa0c5b3196f3abb97cdd535144637b6795c01e56e9916857a",
+}
+ONTOLOGY_SHA256 = {
+    "json": "1d71910bc00c06b2f4e00c39743d0eea259f9dac7a13511af81879ed74028cfe",
+    "csv": "cef22aade8fb94be52d0a29b3d5e8311439d73443f556e346a4e30e5766179c5",
 }
 
 
@@ -79,3 +89,17 @@ def test_sweep_output_is_pinned(tmp_path, fmt, workers):
     assert cli.main([*SWEEP_ARGV, "--workers", workers, "--format", fmt,
                      "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == SWEEP_SHA256[fmt]
+
+
+@pytest.mark.parametrize("args", sorted(THRESHOLD_SHA256))
+def test_threshold_output_is_pinned(tmp_path, args):
+    out = tmp_path / "threshold.json"
+    assert cli.main(["threshold", *args, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == THRESHOLD_SHA256[args]
+
+
+@pytest.mark.parametrize("fmt", sorted(ONTOLOGY_SHA256))
+def test_ontology_output_is_pinned(tmp_path, fmt):
+    out = tmp_path / f"ontology.{fmt}"
+    assert cli.main(["ontology", "--format", fmt, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == ONTOLOGY_SHA256[fmt]
