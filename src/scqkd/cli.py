@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 from collections.abc import Iterable
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
-from .protocol import SessionConfig, run_session
+from .protocol import SessionConfig, _canonical, _csv_line, run_session
 from .security import (
     InsufficientCheckDataError,
     estimate_from_session,
@@ -83,6 +83,8 @@ OPTIONS = {
     "out": Option(str, None, ("simulate", "sweep", "threshold", "ontology"),
                   "output path (default: stdout)"),
     "degrees": Option(_boolean, False, _SESSION, "interpret angles as degrees"),
+    "include_rounds": Option(_boolean, False, ("simulate",),
+                             "embed the per-round array in the session JSON"),
     "grid": Option(_parse_grid, None, ("sweep",), "comma-separated probe angles"),
     "tolerance": Option(float, 1e-9, ("threshold",), "residual tolerance (default 1e-9)"),
 }
@@ -172,9 +174,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Both parts are canonical documents and "report" sorts before "session".
     # A canonical JSON document holds one newline, its last character, so
     # dropping a newline from each piece of the session drops only that one.
-    session_json = session._document("json") if args.include_rounds else [session.to_json()]
+    session_json = session._document("json") if values["include_rounds"] else [session.to_json()]
     pieces = itertools.chain(
-        ['{"report":', report.to_json()[:-1], ',"session":'],
+        ['{"report":', _canonical(asdict(report)), ',"session":'],
         map(lambda piece: piece.removesuffix("\n"), session_json),
         ["}\n"],
     )
@@ -196,9 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=values["workers"],
     )
     if values["format"] == "json":
-        doc = [r.as_dict() for r in reports]
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        _write_output(values["out"], [text])
+        _write_output(values["out"], [_canonical(list(map(asdict, reports))) + "\n"])
     else:
         _write_output(values["out"], [sweep_csv(reports)])
     return EXIT_OK
@@ -209,7 +209,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     values = _resolve(args)
     v_star, epsilon_star = solve_threshold(values["tolerance"])
     doc = {"v_star": v_star, "epsilon_star": epsilon_star}
-    _write_output(values["out"], [json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"])
+    _write_output(values["out"], [_canonical(doc) + "\n"])
     return EXIT_OK
 
 
@@ -218,16 +218,10 @@ def cmd_ontology(args: argparse.Namespace) -> int:
     values = _resolve(args)
     rows = classification_matrix()
     if values["format"] == "json":
-        text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
-        _write_output(values["out"], [text])
+        _write_output(values["out"], [_canonical(rows) + "\n"])
     else:
-        lines = ["scenario,real,physical,classification"]
-        for row in rows:
-            lines.append(
-                f"{row['scenario']},{str(row['real']).lower()},"
-                f"{str(row['physical']).lower()},{row['classification']}"
-            )
-        _write_output(values["out"], ["\n".join(lines) + "\n"])
+        lines = [_csv_line(rows[0].keys()), *(_csv_line(row.values()) for row in rows)]
+        _write_output(values["out"], lines)
     return EXIT_OK
 
 
@@ -254,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help=option.help)
             else:
                 cmd.add_argument(_flag(key), dest=key, help=option.help)
-        if name == "simulate":
-            cmd.add_argument("--include-rounds", action="store_true",
-                             help="embed the per-round array in the session JSON")
         cmd.set_defaults(func=func)
     return parser
 

@@ -233,9 +233,6 @@ class OutcomeDistribution:
                 return e.probe
         raise KeyError(outcome)
 
-    def as_dict(self) -> dict[Outcome, float]:
-        return {e.outcome: e.probability for e in self.entries}
-
 
 def terminal_distribution(
     alice: Choice, bob: Choice, eve_upsilon: float | None = None

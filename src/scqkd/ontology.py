@@ -8,7 +8,7 @@ tolerance-based predicates classify the transmitted entity:
   blocking action with certainty (posterior 1 by Bayes);
 * physical: an ideal intercepting detector always registers the entity --
   Bob's blocking always fires his detector, and his forwarding always
-  produces Alice's designated "yes" observation.
+  produces a D1 click under Alice's Reflect setting.
 
 Physical entities are also real, but not conversely: the interferometer's
 transit state is real (a D0 click under her reflect setting certifies the
@@ -19,7 +19,6 @@ exactly the gap a probe-coupling eavesdropper closes.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -73,17 +72,12 @@ class ScenarioTable:
     ``p_outcome_given_ops`` maps (alice op, bob op) to a distribution over
     ``SCENARIO_OUTCOMES``.  ``p_bob_detects_given_block`` is the chance
     Bob's own detector fires when he blocks while the entity is in transit.
-    ``yes_outcome``/``no_outcome`` designate Alice's detection/absence
-    observations conditioned on her ``alice_forward_op`` setting.
     """
 
     name: str
     p_outcome_given_ops: dict[tuple[str, str], dict[str, float]]
     p_bob_detects_given_block: float
     prior_bob_block: float = 0.5
-    alice_forward_op: str = Choice.REFLECT.value
-    yes_outcome: str = "D1"
-    no_outcome: str = "D0"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_bob_detects_given_block <= 1.0:
@@ -124,23 +118,6 @@ class ScenarioTable:
             )
         return prior * p_block / occurrence
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "p_outcome_given_ops": {
-                ",".join(ops): dict(sorted(dist.items()))
-                for ops, dist in sorted(self.p_outcome_given_ops.items())
-            },
-            "p_bob_detects_given_block": self.p_bob_detects_given_block,
-            "prior_bob_block": self.prior_bob_block,
-            "alice_forward_op": self.alice_forward_op,
-            "yes_outcome": self.yes_outcome,
-            "no_outcome": self.no_outcome,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
 
 def bayes_no_detection(p_psi: float, prior_block: float) -> float:
     """Posterior that Bob blocked, given Alice's non-detection.
@@ -177,15 +154,13 @@ def is_real(table: ScenarioTable, tol: float = DEFAULT_TOL) -> bool:
 def is_physical(table: ScenarioTable, tol: float = DEFAULT_TOL) -> bool:
     """Is the entity always registered by an ideal intercepting detector?
 
-    Requires Bob's detector to fire with certainty when he blocks, and
-    Alice's designated "yes" observation to be certain when he forwards.
+    Requires Bob's detector to fire with certainty when he blocks, and a D1
+    click under Alice's Reflect setting to be certain when he forwards.
     """
     if table.p_bob_detects_given_block < 1.0 - tol:
         return False
-    forward_row = table.p_outcome_given_ops[
-        (table.alice_forward_op, Choice.REFLECT.value)
-    ]
-    return forward_row.get(table.yes_outcome, 0.0) >= 1.0 - tol
+    forward_row = table.p_outcome_given_ops[(Choice.REFLECT.value, Choice.REFLECT.value)]
+    return forward_row.get(Outcome.D1.value, 0.0) >= 1.0 - tol
 
 
 def classify(table: ScenarioTable, tol: float = DEFAULT_TOL) -> Classification:
@@ -235,8 +210,6 @@ def classical_ball_table() -> ScenarioTable:
         name="classical_ball",
         p_outcome_given_ops=_classical_rows(1.0),
         p_bob_detects_given_block=1.0,
-        yes_outcome="D1",
-        no_outcome="Nothing",
     )
 
 
@@ -248,8 +221,6 @@ def classical_epistemic_table(p_psi: float) -> ScenarioTable:
         name="classical_epistemic",
         p_outcome_given_ops=_classical_rows(p_psi),
         p_bob_detects_given_block=p_psi,
-        yes_outcome="D1",
-        no_outcome="Nothing",
     )
 
 
@@ -268,8 +239,6 @@ def classical_wave_table() -> ScenarioTable:
         name="classical_wave",
         p_outcome_given_ops=rows,
         p_bob_detects_given_block=1.0,
-        yes_outcome="D1",
-        no_outcome="D0",
     )
 
 
@@ -291,8 +260,6 @@ def quantum_table(upsilon: float | None = None) -> ScenarioTable:
         name="quantum" if upsilon is None else "quantum_attacked",
         p_outcome_given_ops=rows,
         p_bob_detects_given_block=block_row["AbsorbedBob"],
-        yes_outcome="D1",
-        no_outcome="D0",
     )
 
 

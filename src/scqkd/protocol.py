@@ -22,7 +22,8 @@ session runs chunk by chunk through one kernel in two steps:
 ``_draw_chunk`` draws a chunk's words and ``_map_draws`` maps them
 through one angle's tables into row codes.  Sessions that differ only
 in upsilon share every draw, so ``summarize_sweep`` draws each chunk
-once and maps it at each angle.
+once and maps it at each angle.  Every JSON and CSV artifact of the
+package is encoded here, by ``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -115,14 +116,6 @@ class SessionConfig:
     def attack_active(self) -> bool:
         """True when an eavesdropper with a distinguishable probe is present."""
         return self.upsilon is not None and self.upsilon > 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "upsilon": self.upsilon,
-            "seed": self.seed,
-            "check_fraction": self.check_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -436,33 +429,44 @@ class SessionLog:
         if include_rounds:
             return "".join(self._document("json"))
         doc = {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "counters": {",".join(k): v for k, v in self.counters.items()},
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return _canonical(doc) + "\n"
 
     def to_csv(self) -> str:
         """Per-round CSV with one row per round."""
         return "".join(self._document("csv"))
 
 
+def _canonical(value) -> str:
+    """``value`` as canonical JSON, with no final newline: every JSON artifact's encoder."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _csv_cell(value) -> str:
+    """None is empty, a bool is true or false and a float has 12 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # before the generic case: str(True) is "True"
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _csv_line(values) -> str:
+    """``values`` as one CSV line: every CSV artifact's encoder."""
+    return ",".join(map(_csv_cell, values)) + "\n"
+
+
 #: Stands in for the round id while a template row is rendered.
 _ROUND_ID_MARK = 2**64
 
-
-def _json_row(row: dict) -> str:
-    """An element of the rounds array, after the comma that separates it from the last."""
-    return "," + json.dumps(row, sort_keys=True, separators=(",", ":"))
-
-
-def _csv_row(row: dict) -> str:
-    """A CSV line of the row's values: None is empty and booleans are lower case."""
-    cells = ("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
-             for v in row.values())
-    return ",".join(cells) + "\n"
-
-
-_ROW_FORMATS = {"json": _json_row, "csv": _csv_row}
+#: Renders a row dict in each format; a JSON row starts with the comma that
+#: separates it from the one before.
+_ROW_FORMATS = {
+    "json": lambda row: "," + _canonical(row),
+    "csv": lambda row: _csv_line(row.values()),
+}
 
 
 @functools.lru_cache(maxsize=64)

@@ -10,9 +10,8 @@ the crossing sits near a 21% error rate.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import Choice, Outcome, OUTCOME_ORDER
 from .protocol import (
@@ -20,6 +19,8 @@ from .protocol import (
     HISTOGRAM_SHAPE,
     SessionConfig,
     SessionLog,
+    _canonical,
+    _csv_line,
     run_session,  # noqa: F401  public here too: callers and tracers reach it through this module
     summarize_sweep,
 )
@@ -114,23 +115,8 @@ class SecurityReport:
     key_rate: float
     secure: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "upsilon": self.upsilon,
-            "visibility_analytic": self.visibility_analytic,
-            "visibility_estimate": self.visibility_estimate,
-            "visibility_se": self.visibility_se,
-            "epsilon_analytic": self.epsilon_analytic,
-            "epsilon_estimate": self.epsilon_estimate,
-            "epsilon_se": self.epsilon_se,
-            "i_bob": self.i_bob,
-            "i_eve": self.i_eve,
-            "key_rate": self.key_rate,
-            "secure": self.secure,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return _canonical(asdict(self)) + "\n"
 
 
 def estimate_from_session(log: SessionLog) -> SecurityReport:
@@ -214,21 +200,9 @@ SWEEP_COLUMNS = (
 
 
 def sweep_csv(reports: list[SecurityReport]) -> str:
-    """Render sweep reports as CSV: numbers at 12 significant digits, a None angle empty."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    "" if r.upsilon is None else f"{r.upsilon:.12g}",
-                    f"{r.visibility_estimate:.12g}",
-                    f"{r.epsilon_analytic:.12g}",
-                    f"{r.epsilon_estimate:.12g}",
-                    f"{r.i_bob:.12g}",
-                    f"{r.i_eve:.12g}",
-                    f"{r.key_rate:.12g}",
-                    "true" if r.secure else "false",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Render sweep reports as CSV, one line per report in ``SWEEP_COLUMNS`` order."""
+    return _csv_line(SWEEP_COLUMNS) + "".join(
+        _csv_line((r.upsilon, r.visibility_estimate, r.epsilon_analytic, r.epsilon_estimate,
+                   r.i_bob, r.i_eve, r.key_rate, r.secure))
+        for r in reports
+    )

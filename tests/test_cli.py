@@ -299,6 +299,7 @@ SAMPLES = {
     "format": ("ontology", "csv"),
     "out": ("threshold", None),
     "degrees": ("simulate", "true"),
+    "include_rounds": ("simulate", "true"),
     "grid": ("sweep", "0.1,0.2"),
     "tolerance": ("threshold", "1e-4"),
 }
@@ -348,7 +349,8 @@ class TestOptionTable:
                 base += [cli._flag(k), v]
         if key != "out":
             base += ["--out", str(out)]
-        flag = [cli._flag(key)] if key == "degrees" else [cli._flag(key), value]
+        bare = cli.OPTIONS[key].convert is cli._boolean
+        flag = [cli._flag(key)] if bare else [cli._flag(key), value]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
 

@@ -1,6 +1,5 @@
 """Unit tests for the reality/physicality predicates and scenario tables."""
 
-import json
 import math
 
 import numpy as np
@@ -227,9 +226,3 @@ class TestScenarioTableValidation:
                 p_bob_detects_given_block=1.0,
                 prior_bob_block=1.0,
             )
-
-    def test_json_serialization_roundtrips(self):
-        doc = json.loads(quantum_table().to_json())
-        assert doc["name"] == "quantum"
-        assert doc["p_outcome_given_ops"]["Reflect,Absorb"]["D0"] == pytest.approx(0.25)
-        assert doc["prior_bob_block"] == 0.5

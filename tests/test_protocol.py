@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -576,3 +577,20 @@ class TestSerialization:
         for rec in log.iter_rounds():
             expected = Announcement.D0 if rec.outcome is Outcome.D0 else Announcement.NOT_D0
             assert rec.announced is expected
+
+
+class TestEncoders:
+    def test_csv_line_renders_each_kind_of_cell(self):
+        line = protocol._csv_line([None, True, False, 1, 0.1, 2 / 3, "Reflect"])
+        assert line == ",true,false,1,0.1,0.666666666667,Reflect\n"
+
+    def test_canonical_sorts_keys_and_drops_spaces(self):
+        assert protocol._canonical({"b": [1, None], "a": True}) == '{"a":true,"b":[1,null]}'
+
+    def test_every_artifact_is_encoded_in_protocol(self):
+        sources = {path.name: path.read_text()
+                   for path in Path(protocol.__file__).parent.glob("*.py")}
+        assert sum(text.count("json.dumps(") for text in sources.values()) == 1
+        assert [name for name, text in sources.items() if "import json" in text] == [
+            "protocol.py"]
+        assert sum(text.count('"true" if') for text in sources.values()) == 1

@@ -8,6 +8,7 @@ reference below formats each row from the ``RoundRecord`` that
 did before the templates.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -48,7 +49,7 @@ def reference_rows(log, ids=None) -> list[dict]:
 
 def reference_json(log) -> str:
     doc = {
-        "config": log.config.as_dict(),
+        "config": dataclasses.asdict(log.config),
         "counters": {",".join(k): v for k, v in log.counters.items()},
         "rounds": reference_rows(log),
     }
@@ -178,7 +179,7 @@ def test_rows_of_a_session_above_one_chunk_match_the_reference():
     expected = reference_rows(log, ids)
 
     document = log.to_json(include_rounds=True)
-    head = json.dumps({"config": log.config.as_dict(),
+    head = json.dumps({"config": dataclasses.asdict(log.config),
                        "counters": {",".join(k): v for k, v in log.counters.items()},
                        "rounds": []}, sort_keys=True, separators=(",", ":"))
     assert document.startswith(head[:-2]) and document.endswith("]}\n")
