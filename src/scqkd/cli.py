@@ -75,8 +75,9 @@ _SESSION = ("simulate", "sweep")
 OPTIONS = {
     "rounds": Option(int, 100_000, _SESSION, "number of protocol rounds"),
     "upsilon": Option(float, None, ("simulate",), "attack probe angle"),
-    "seed": Option(int, 0, _SESSION, f"64-bit seed (fallback: ${SEED_ENV_VAR})"),
-    "check_fraction": Option(float, 0.1, _SESSION, "fraction of rounds disclosed for checking"),
+    "seed": Option(int, SessionConfig.seed, _SESSION, f"64-bit seed (fallback: ${SEED_ENV_VAR})"),
+    "check_fraction": Option(float, SessionConfig.check_fraction, _SESSION,
+                             "fraction of rounds disclosed for checking"),
     "workers": Option(int, 1, _SESSION, "worker count (never changes results)"),
     "format": Option(_output_format, "json", ("simulate", "sweep", "ontology"),
                      "output format: json or csv"),
@@ -156,16 +157,18 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
             fh.writelines(map(str.encode, pieces))
 
 
+def _session_config(values: dict) -> SessionConfig:
+    """The session the resolved options describe; ``sweep`` reads no upsilon."""
+    return SessionConfig(n_rounds=values["rounds"], upsilon=values.get("upsilon"),
+                         seed=values["seed"], check_fraction=values["check_fraction"])
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one session, estimate security quantities, write both artifacts."""
     values = _resolve(args)
-    config = SessionConfig(
-        n_rounds=values["rounds"],
-        upsilon=values["upsilon"],
-        seed=values["seed"],
-        check_fraction=values["check_fraction"],
-    )
-    session = run_session(config, workers=values["workers"])
+    if values["include_rounds"] and values["format"] == "csv":
+        raise ValueError("--include-rounds needs --format json: the csv output is per round")
+    session = run_session(_session_config(values), workers=values["workers"])
     report = estimate_from_session(session)
     if values["format"] == "csv":
         _write_output(values["out"], session._document("csv"))
@@ -190,13 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = values["grid"]
     if grid is None:
         raise ValueError("sweep requires --grid (comma-separated angles)")
-    reports = sweep_reports(
-        grid,
-        n_rounds=values["rounds"],
-        seed=values["seed"],
-        check_fraction=values["check_fraction"],
-        workers=values["workers"],
-    )
+    reports = sweep_reports(_session_config(values), grid, workers=values["workers"])
     if values["format"] == "json":
         _write_output(values["out"], [_canonical(list(map(asdict, reports))) + "\n"])
     else:

@@ -272,7 +272,6 @@ class PovmSet:
     p_plus: np.ndarray
     p_minus: np.ndarray
     p_zero: np.ndarray
-    upsilon: float
 
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.p_plus, self.p_minus, self.p_zero
@@ -306,4 +305,4 @@ def build_povm(upsilon: float) -> PovmSet:
     p_plus = scale * (eye - np.outer(minus, minus.conj()))
     p_minus = scale * (eye - np.outer(plus, plus.conj()))
     p_zero = eye - p_plus - p_minus
-    return PovmSet(p_plus=p_plus, p_minus=p_minus, p_zero=p_zero, upsilon=upsilon)
+    return PovmSet(p_plus=p_plus, p_minus=p_minus, p_zero=p_zero)

@@ -42,14 +42,12 @@ import numpy as np
 
 from .core import OUTCOME_ORDER, Choice, Outcome, build_povm, terminal_distribution
 from .eve import EVE_OUTCOME_ORDER, EveOutcome
-from .randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_words, philox_stream
+from .randomness import DISCLOSE_STREAM, ROUND_STREAM, _UINT64_MAX, _philox_words, philox_stream
 
 #: Choice encoding used by the columnar log (index into this tuple).
 CHOICES_BY_CODE = (Choice.ABSORB, Choice.REFLECT)
 _D0 = OUTCOME_ORDER.index(Outcome.D0)
 _EVE_ABSENT = -1
-
-_MAX_SEED = 2**64 - 1
 
 #: A word's uniform is its top 53 bits k as k * 2**-53, so u >= 0.5 when k >= 2**52.
 _UNIFORM_BITS = 53
@@ -101,7 +99,7 @@ class SessionConfig:
             _is_real(self.upsilon) and 0.0 <= self.upsilon <= math.pi / 2
         ):
             raise ValueError(f"upsilon must lie in [0, pi/2] or be absent, got {self.upsilon!r}")
-        if not _is_integer(self.seed) or not 0 <= self.seed <= _MAX_SEED:
+        if not _is_integer(self.seed) or not 0 <= self.seed <= _UINT64_MAX:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not _is_real(self.check_fraction) or not 0.0 <= self.check_fraction <= 1.0:
             raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
@@ -127,7 +125,6 @@ class RoundRecord:
     bob_choice: Choice
     outcome: Outcome
     announced: Announcement
-    eve_probe: np.ndarray | None
     eve_result: EveOutcome | None
     sifted: bool
     disclosed_for_check: bool
@@ -135,23 +132,19 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SamplingTables:
-    """Inverse-CDF thresholds for one probe angle, rows indexed by choice pair.
+    """The integer law every round at one probe angle is drawn from.
 
-    The pair code is ``2 * alice + bob`` in ``CHOICES_BY_CODE`` codes.  Row
-    ``outcome_cum[pair]`` is the cumulative distribution over
-    ``OUTCOME_ORDER``; row ``eve_cum[pair]`` is the cumulative POVM
-    distribution over ``EVE_OUTCOME_ORDER`` on that pair's D0 probe
-    (``eve_cum`` is None without an attack).  ``d0_probes[pair]`` is the
-    probe Eve stores on a D0 round, or None when D0 is impossible.
-
-    ``outcome_thresholds`` and ``eve_thresholds`` are the same tables as
-    integers ceil(t * 2**53): a uniform k * 2**-53 is at or above t exactly
-    when the integer k is at or above ceil(t * 2**53).
+    Rows are indexed by the pair code ``2 * alice + bob`` in
+    ``CHOICES_BY_CODE`` codes.  Column j of ``outcome_thresholds[pair]`` is
+    ceil(c * 2**53), where c is the probability of outcomes 0 to j of
+    ``OUTCOME_ORDER``; ``eve_thresholds[pair]`` is the same over
+    ``EVE_OUTCOME_ORDER`` for Eve's POVM on that pair's D0 probe (zeros when
+    D0 is impossible; the table is None without an attack).  A uniform
+    k * 2**-53 is at or above c exactly when k is at or above ceil(c * 2**53),
+    so a round's code, the number of its row's thresholds at or below k, is
+    j with probability (T[j] - T[j - 1]) * 2**-53, where T[-1] = 0.
     """
 
-    outcome_cum: np.ndarray
-    eve_cum: np.ndarray | None
-    d0_probes: tuple[np.ndarray | None, ...]
     outcome_thresholds: np.ndarray
     eve_thresholds: np.ndarray | None
 
@@ -172,26 +165,22 @@ def _cumulative(probabilities) -> np.ndarray:
 def sampling_tables(upsilon: float | None) -> SamplingTables:
     """Build (once per angle) the tables every sampled round is drawn from."""
     povm = build_povm(upsilon) if upsilon is not None and upsilon > 0.0 else None
-    outcome_cum = np.empty((4, len(OUTCOME_ORDER)))
-    eve_cum = np.zeros((4, len(EVE_OUTCOME_ORDER))) if povm is not None else None
-    d0_probes = []
+    outcome_cdf = np.empty((4, len(OUTCOME_ORDER)))
+    eve_cdf = np.zeros((4, len(EVE_OUTCOME_ORDER))) if povm is not None else None
     for pair in range(4):
         dist = terminal_distribution(
             CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], upsilon
         )
-        outcome_cum[pair] = _cumulative([dist.probability(o) for o in OUTCOME_ORDER])
+        outcome_cdf[pair] = _cumulative([dist.probability(o) for o in OUTCOME_ORDER])
         probe = dist.probe(Outcome.D0)
-        d0_probes.append(probe)
         if povm is not None and probe is not None:
-            eve_cum[pair] = _cumulative(povm.outcome_probabilities(probe))
+            eve_cdf[pair] = _cumulative(povm.outcome_probabilities(probe))
     # Exact: scaling by 2**53 and taking the ceiling do not round.
-    outcome_thresholds, eve_thresholds = (
-        None if cum is None else np.ceil(cum * 2.0**_UNIFORM_BITS).astype(np.uint64)
-        for cum in (outcome_cum, eve_cum)
-    )
-    tables = SamplingTables(outcome_cum, eve_cum, tuple(d0_probes), outcome_thresholds,
-                            eve_thresholds)
-    for array in (outcome_cum, eve_cum, outcome_thresholds, eve_thresholds, *d0_probes):
+    tables = SamplingTables(*(
+        None if cdf is None else np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
+        for cdf in (outcome_cdf, eve_cdf)
+    ))
+    for array in (tables.outcome_thresholds, tables.eve_thresholds):
         if array is not None:
             array.flags.writeable = False  # shared by every caller through the cache
     return tables
@@ -361,11 +350,8 @@ class SessionLog:
             raise IndexError(f"round {i} is outside [0, {len(self)})")
         outcome = OUTCOME_ORDER[self.outcome[i]]
         announced = Announcement.D0 if outcome is Outcome.D0 else Announcement.NOT_D0
-        eve_probe = None
         eve_result = None
         if self.config.attack_active and outcome is Outcome.D0:
-            pair = int(self.alice[i]) * 2 + int(self.bob[i])
-            eve_probe = sampling_tables(self.config.upsilon).d0_probes[pair]
             code = int(self.eve_result[i])
             eve_result = EVE_OUTCOME_ORDER[code] if code >= 0 else None
         return RoundRecord(
@@ -374,7 +360,6 @@ class SessionLog:
             bob_choice=CHOICES_BY_CODE[self.bob[i]],
             outcome=outcome,
             announced=announced,
-            eve_probe=eve_probe,
             eve_result=eve_result,
             sifted=outcome is Outcome.D0,
             disclosed_for_check=bool(self.disclosed[i]),

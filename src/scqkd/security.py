@@ -174,15 +174,8 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
     )
 
 
-def sweep_reports(
-    upsilon_grid,
-    n_rounds: int,
-    seed: int = 0,
-    check_fraction: float = 0.1,
-    workers: int = 1,
-) -> list[SecurityReport]:
-    """Summarize one session per grid angle, in one pass, and estimate each, in input order."""
-    config = SessionConfig(n_rounds=n_rounds, seed=seed, check_fraction=check_fraction)
+def sweep_reports(config: SessionConfig, upsilon_grid, workers: int = 1) -> list[SecurityReport]:
+    """Summarize ``config`` at each grid angle, in one pass, and estimate each, in input order."""
     return [estimate_from_session(log) for log in summarize_sweep(config, upsilon_grid, workers)]
 
 

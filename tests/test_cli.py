@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line harness and its exit codes."""
 
+import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import scqkd.cli as cli
-from scqkd import protocol
+from scqkd import protocol, security
 from scqkd.ontology import IntegrityViolationError
 
 from conftest import peak_traced_mb
@@ -76,6 +78,20 @@ class TestSimulate:
         assert len(lines) == 10001
         report = json.loads(capsys.readouterr().out)
         assert "key_rate" in report
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    def test_include_rounds_with_csv_is_a_config_error(self, source, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        argv = ["simulate", "--rounds", "8000", "--format", "csv", "--out", str(out)]
+        if source == "flag":
+            argv.append("--include-rounds")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("include_rounds = true\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 2
+        assert not out.exists()
+        assert "--include-rounds" in capsys.readouterr().err
 
     def test_export_memory_is_flat_in_the_session_length(self, tmp_path):
         out = tmp_path / "rounds.json"
@@ -314,6 +330,16 @@ BASE = {
 
 
 class TestOptionTable:
+    def test_sessions_reach_the_engine_through_one_config(self):
+        def source(module):
+            return Path(module.__file__).read_text()
+
+        assert source(cli).count("SessionConfig(") == 1
+        assert "SessionConfig(" not in source(security)
+        assert "n_rounds" not in inspect.signature(security.sweep_reports).parameters
+        assert cli.OPTIONS["seed"].default is protocol.SessionConfig.seed
+        assert cli.OPTIONS["check_fraction"].default is protocol.SessionConfig.check_fraction
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         parser = cli.build_parser()
         commands = parser._subparsers._group_actions[0].choices

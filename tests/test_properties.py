@@ -150,9 +150,7 @@ def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, blo
     singles = [run_session(dataclasses.replace(base, upsilon=u)) for u in grid]
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
         sweep = summarize_sweep(base, grid, workers=workers)
-        reports = reports_or_error(
-            lambda: sweep_reports(grid, n, seed=seed, check_fraction=check_fraction,
-                                  workers=workers))
+        reports = reports_or_error(lambda: sweep_reports(base, grid, workers=workers))
     assert [s.config for s in sweep] == [s.config for s in singles]
     for summary, single in zip(sweep, singles):
         np.testing.assert_array_equal(summary.histogram, single.histogram)

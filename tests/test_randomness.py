@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from scqkd.protocol import sampling_tables
+from scqkd.core import OUTCOME_ORDER, Outcome, build_povm, terminal_distribution
+from scqkd.protocol import CHOICES_BY_CODE, _cumulative, sampling_tables
 from scqkd.randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_words, philox_stream
 
 
@@ -62,9 +63,19 @@ class TestWords:
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
     def test_integer_thresholds_compare_like_the_doubles(self, upsilon):
         tables = sampling_tables(upsilon)
-        checked = [(tables.outcome_cum, tables.outcome_thresholds)]
-        if tables.eve_cum is not None:
-            checked.append((tables.eve_cum, tables.eve_thresholds))
+        # The doubles come from core, not from the tables under test.
+        povm = build_povm(upsilon) if tables.eve_thresholds is not None else None
+        checked = []
+        for pair, row in enumerate(tables.outcome_thresholds):
+            dist = terminal_distribution(
+                CHOICES_BY_CODE[pair >> 1], CHOICES_BY_CODE[pair & 1], upsilon
+            )
+            checked.append((_cumulative([dist.probability(o) for o in OUTCOME_ORDER]), row))
+            probe = dist.probe(Outcome.D0)
+            if povm is not None and probe is not None:
+                checked.append((_cumulative(povm.outcome_probabilities(probe)),
+                                tables.eve_thresholds[pair]))
+        assert tables.eve_thresholds is None or len(checked) > 4
         for cum, thresholds in checked:
             assert thresholds.dtype == np.uint64 and not thresholds.flags.writeable
             for t, T in zip(cum.ravel().tolist(), thresholds.ravel().tolist()):

@@ -90,8 +90,11 @@ def assert_rows_match_reference(log) -> None:
 def reachable_combinations(upsilon) -> set[tuple[int, int, int, int]]:
     """(alice, bob, outcome, eve) codes of positive probability at one angle."""
     tables = sampling_tables(upsilon)
-    p_outcome = np.diff(tables.outcome_cum, prepend=0.0, axis=1)
-    p_eve = None if tables.eve_cum is None else np.diff(tables.eve_cum, prepend=0.0, axis=1)
+    # A cell's probability in the law the sampler realizes: its threshold gap times 2**-53.
+    p_outcome, p_eve = (
+        None if t is None else np.diff(t.astype(np.int64), prepend=0, axis=1) * 2.0**-53
+        for t in (tables.outcome_thresholds, tables.eve_thresholds)
+    )
     combos = set()
     for pair in range(4):
         for outcome in np.flatnonzero(p_outcome[pair] > ATOL):

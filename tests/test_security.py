@@ -193,7 +193,7 @@ class TestEstimateFromSession:
 class TestSweep:
     def test_rows_follow_the_grid_order(self):
         grid = [math.pi / 2, 0.0, math.pi / 4]
-        reports = sweep_reports(grid, n_rounds=40_000, seed=317)
+        reports = sweep_reports(SessionConfig(n_rounds=40_000, seed=317), grid)
         assert [r.upsilon for r in reports] == grid
         csv_text = sweep_csv(reports)
         lines = csv_text.strip().split("\n")
@@ -205,7 +205,7 @@ class TestSweep:
 
     def test_analytic_epsilon_column(self):
         reports = sweep_reports(
-            [0.0, math.pi / 4, math.pi / 2], n_rounds=40_000, seed=319
+            SessionConfig(n_rounds=40_000, seed=319), [0.0, math.pi / 4, math.pi / 2]
         )
         lines = sweep_csv(reports).strip().split("\n")
         eps_column = [float(line.split(",")[2]) for line in lines[1:]]
@@ -223,16 +223,17 @@ class TestSweep:
     def test_bool_or_string_angle_rejected(self, angle):
         # The angle reaches SessionConfig as given: no float() turns True into 1.0.
         with pytest.raises(ValueError, match="upsilon must lie in"):
-            sweep_reports([angle], n_rounds=10_000, seed=321)
+            sweep_reports(SessionConfig(n_rounds=10_000, seed=321), [angle])
 
     def test_no_attack_angle_is_an_empty_csv_cell_and_a_json_null(self):
-        reports = sweep_reports([None], n_rounds=10_000, seed=1)
+        reports = sweep_reports(SessionConfig(n_rounds=10_000, seed=1), [None])
         rows = sweep_csv(reports).split("\n")
         assert rows[1].startswith(",")
         assert len(rows[1].split(",")) == len(rows[0].split(","))
         assert '"upsilon":null' in reports[0].to_json()
 
     def test_numpy_float_angle_accepted(self):
-        reports = sweep_reports([np.float64(0.5)], n_rounds=10_000, seed=321)
-        assert reports == sweep_reports([0.5], n_rounds=10_000, seed=321)
+        config = SessionConfig(n_rounds=10_000, seed=321)
+        reports = sweep_reports(config, [np.float64(0.5)])
+        assert reports == sweep_reports(config, [0.5])
         assert type(reports[0].upsilon) is float
