@@ -19,10 +19,12 @@ of the session's histogram of row codes.  A ``SessionLog`` holds that
 histogram alone until a per-round column is first read; its per-round
 export maps the rounds again and renders them as they come.  Every
 session runs chunk by chunk through one kernel in two steps:
-``_draw_chunk`` draws a chunk's words and ``_map_draws`` maps them
-through one angle's tables into row codes.  Sessions that differ only
-in upsilon share every draw, so ``summarize_sweep`` draws each chunk
-once and maps it at each angle.  Every JSON and CSV artifact of the
+``_draw_chunk`` draws a chunk's words and their bucket indexes, and
+``_map_draws`` maps them into row codes through one angle's bucket
+tables: one lookup per round and key, and an exact integer compare only
+for the few rounds in a bucket that a threshold splits.  Sessions that
+differ only in upsilon share every draw, so ``summarize_sweep`` draws
+each chunk once and maps it at each angle.  Every JSON and CSV artifact of the
 package is encoded here, by ``_canonical`` and ``_csv_line``.
 """
 
@@ -49,9 +51,9 @@ CHOICES_BY_CODE = (Choice.ABSORB, Choice.REFLECT)
 _D0 = OUTCOME_ORDER.index(Outcome.D0)
 _EVE_ABSENT = -1
 
-#: A word's uniform is its top 53 bits k as k * 2**-53, so u >= 0.5 when k >= 2**52.
+#: A word's key k is its top 53 bits and its uniform is k * 2**-53.
 _UNIFORM_BITS = 53
-_HALF = 2**52
+_KEY_SHIFT = np.uint64(64 - _UNIFORM_BITS)
 
 #: Rounds per chunk of the session's thread pool.  Results never depend on it.
 SAMPLING_BLOCK = 2**16
@@ -103,12 +105,13 @@ class SessionConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not _is_real(self.check_fraction) or not 0.0 <= self.check_fraction <= 1.0:
             raise ValueError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
-        # Stored as Python numbers so that equal configs serialize to equal bytes.
+        # Stored as Python numbers so that equal configs serialize to equal bytes;
+        # adding 0.0 turns -0.0, which equals 0.0, into 0.0.
         object.__setattr__(self, "n_rounds", int(self.n_rounds))
         object.__setattr__(self, "seed", int(self.seed))
         if self.upsilon is not None:
-            object.__setattr__(self, "upsilon", float(self.upsilon))
-        object.__setattr__(self, "check_fraction", float(self.check_fraction))
+            object.__setattr__(self, "upsilon", float(self.upsilon) + 0.0)
+        object.__setattr__(self, "check_fraction", float(self.check_fraction) + 0.0)
 
     @property
     def attack_active(self) -> bool:
@@ -132,7 +135,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SamplingTables:
-    """The integer law every round at one probe angle is drawn from.
+    """The integer law every round at one probe angle is drawn from, and its bucket tables.
 
     Rows are indexed by the pair code ``2 * alice + bob`` in
     ``CHOICES_BY_CODE`` codes.  Column j of ``outcome_thresholds[pair]`` is
@@ -143,10 +146,24 @@ class SamplingTables:
     k * 2**-53 is at or above c exactly when k is at or above ceil(c * 2**53),
     so a round's code, the number of its row's thresholds at or below k, is
     j with probability (T[j] - T[j - 1]) * 2**-53, where T[-1] = 0.
+
+    ``outcome_buckets`` and ``eve_buckets`` are those counts looked up
+    rather than compared: ``_bucket_table`` of each threshold table.
     """
 
     outcome_thresholds: np.ndarray
     eve_thresholds: np.ndarray | None
+    outcome_buckets: np.ndarray
+    eve_buckets: np.ndarray | None
+
+
+#: A bucket is a pair code and the top 12 bits of a key, which are its word's
+#: top 12: 4 * 4096 one-byte entries per table, each covering 2**41 keys.
+_BUCKET_BITS = 12
+_BUCKET_KEYS = 2**(_UNIFORM_BITS - _BUCKET_BITS)
+_BUCKET_SHIFT = np.uint64(64 - _BUCKET_BITS)
+#: A bucket table's entry for a bucket whose keys do not all share one count.
+_STRADDLES = 255
 
 
 def _cumulative(probabilities) -> np.ndarray:
@@ -176,31 +193,95 @@ def sampling_tables(upsilon: float | None) -> SamplingTables:
         if povm is not None and probe is not None:
             eve_cdf[pair] = _cumulative(povm.outcome_probabilities(probe))
     # Exact: scaling by 2**53 and taking the ceiling do not round.
-    tables = SamplingTables(*(
+    outcome_thresholds, eve_thresholds = (
         None if cdf is None else np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
         for cdf in (outcome_cdf, eve_cdf)
-    ))
-    for array in (tables.outcome_thresholds, tables.eve_thresholds):
+    )
+    tables = SamplingTables(
+        outcome_thresholds, eve_thresholds, _bucket_table(outcome_thresholds),
+        None if eve_thresholds is None else _bucket_table(eve_thresholds),
+    )
+    for array in vars(tables).values():
         if array is not None:
             array.flags.writeable = False  # shared by every caller through the cache
     return tables
 
 
+def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
+    """Each bucket's count of its row's thresholds, or ``_STRADDLES``: a uint8 table.
+
+    Entry ``pair << 12 | k >> 41`` covers the 2**41 keys k of one row that
+    share their top 12 bits.  A count only grows with k, so when the
+    bucket's first and last keys have the same count, every key in it has
+    that count; otherwise the entry is ``_STRADDLES``.  Each threshold
+    splits at most one bucket of its row.
+    """
+    first = np.arange(0, 2**_UNIFORM_BITS, _BUCKET_KEYS, dtype=np.uint64)[:, None]
+    rows = thresholds[:, None, :]
+    at_first = (rows <= first).sum(axis=2)
+    at_last = (rows <= first + np.uint64(_BUCKET_KEYS - 1)).sum(axis=2)
+    return np.where(at_first == at_last, at_first, _STRADDLES).astype(np.uint8).ravel()
+
+
+def _draws(pair: np.ndarray, w_outcome: np.ndarray, w_eve: np.ndarray) -> tuple:
+    """Rounds ready for ``_map_codes`` at any angle, from their pair codes and words.
+
+    The words are those of the outcome and Eve keys.  Each key's uint16
+    bucket index is ``pair << 12`` or'd with its word's top 12 bits.
+    """
+    pair_high = pair.astype(np.uint16) << _BUCKET_BITS
+    indexes = []
+    for words in (w_outcome, w_eve):
+        # Shifted as uint64 and cast on the way out, with no uint64 temporary.
+        index = np.right_shift(words, _BUCKET_SHIFT, casting="unsafe",
+                               out=np.empty(len(words), np.uint16))
+        index |= pair_high
+        indexes.append(index)
+    return (pair, w_outcome, w_eve, *indexes)
+
+
+def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
+             index: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per round, how many thresholds of row ``thresholds[pair]`` lie at or below its key.
+
+    The bucket table gives the count; only the rounds in straddling
+    buckets, at most one bucket per threshold, are counted by
+    ``_count_thresholds``.
+    """
+    count = buckets.take(index)
+    straddling = np.flatnonzero(count == _STRADDLES)
+    if len(straddling):
+        count[straddling] = _count_thresholds(
+            thresholds, pair[straddling], words[straddling] >> _KEY_SHIFT
+        )
+    return count
+
+
+def _map_codes(tables: SamplingTables, draws: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (outcome, Eve) codes of ``_draws`` at one angle: two table lookups per round.
+
+    Each code counts the thresholds of its row at or below the round's
+    key, which is the inverse-CDF draw.  Eve measures only D0 rounds under
+    an attack; every other round gets -1.
+    """
+    pair, w_outcome, w_eve, at_outcome, at_eve = draws
+    outcome = _look_up(tables.outcome_buckets, tables.outcome_thresholds, pair, at_outcome,
+                       w_outcome)
+    if tables.eve_thresholds is None:
+        return outcome, np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
+    eve = _look_up(tables.eve_buckets, tables.eve_thresholds, pair, at_eve, w_eve)
+    # uint8 arithmetic, far cheaper than a masked store: 0 off D0, then -1.
+    eve += 1
+    eve *= outcome == _D0
+    eve -= 1
+    return outcome, eve.view(np.int8)
+
+
 def _sample_codes(
     tables: SamplingTables, pair: np.ndarray, k_outcome: np.ndarray, k_eve: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map uint8 pair codes and two uniforms k * 2**-53 per round to (outcome, Eve) codes.
-
-    Each code counts the thresholds of its row at or below the uniform,
-    which is the inverse-CDF draw.  Eve measures only D0 rounds under an
-    attack; every other round gets -1.
-    """
-    outcome = _count_thresholds(tables.outcome_thresholds, pair, k_outcome)
-    eve = np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
-    if tables.eve_thresholds is not None:
-        d0 = np.flatnonzero(outcome == _D0)
-        eve[d0] = _count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
-    return outcome, eve
+    """Map uint8 pair codes and two uniforms k * 2**-53 per round to (outcome, Eve) codes."""
+    return _map_codes(tables, _draws(pair, k_outcome << _KEY_SHIFT, k_eve << _KEY_SHIFT))
 
 
 def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -515,26 +596,26 @@ def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _draw_chunk(seed: int, lo: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair codes and the top 53 bits of words 2 and 3 of rounds ``lo`` to ``lo + n``.
+def _draw_chunk(seed: int, lo: int, n: int) -> tuple:
+    """The ``_draws`` of rounds ``lo`` to ``lo + n``: everything about them but the angle.
 
     Round i's four words are Philox counter step i of the round stream,
     so the chunk draws them at its own counter step ``lo``.  A choice is
     Reflect when its uniform is at least 0.5: its word's top bit is set.
-    Words 2 and 3 are returned as strided views of the chunk's word array.
+    Words 2 and 3, the outcome and Eve keys, stay strided views of the
+    chunk's word array; only the few rounds in straddling buckets ever
+    have their keys shifted out.  A sweep pays this once per chunk and
+    ``_map_draws`` once per angle.
     """
-    k = _philox_words(seed, ROUND_STREAM, lo, n)
-    k >>= 64 - _UNIFORM_BITS  # each word's top 53 bits; its uniform is k * 2**-53
-    pair = (k[:, 0] >= _HALF).view(np.uint8) * 2
-    pair += k[:, 1] >= _HALF
-    return pair, k[:, 2], k[:, 3]
+    words = _philox_words(seed, ROUND_STREAM, lo, n)
+    pair = (words[:, 0] >= 2**63).view(np.uint8) * 2
+    pair += words[:, 1] >= 2**63
+    return _draws(pair, words[:, 2], words[:, 3])
 
 
 def _map_draws(tables: SamplingTables, draws: tuple, disclosed: np.ndarray) -> np.ndarray:
     """Row codes of a chunk's draws at one angle; the draws are left as they were."""
-    pair, k_outcome, k_eve = draws
-    outcome, eve = _sample_codes(tables, pair, k_outcome, k_eve)
-    return _encode(pair, outcome, eve, disclosed)
+    return _encode(draws[0], *_map_codes(tables, draws), disclosed)
 
 
 def _map_chunks(configs: list[SessionConfig], workers: int, fn):

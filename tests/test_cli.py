@@ -142,7 +142,31 @@ class TestSimulate:
         assert doc["session"]["config"]["upsilon"] == pytest.approx(math.pi / 2)
 
 
+    @pytest.mark.parametrize("extra", [(), ("--format", "csv"), ("--degrees",)])
+    def test_negative_zero_angle_gives_the_zero_angle_bytes(self, tmp_path, capsys, extra):
+        outputs = []
+        for angle in ("-0.0", "0.0"):
+            out = tmp_path / f"{angle}.out"
+            argv = ["simulate", "--rounds", "8000", f"--upsilon={angle}", *extra]
+            assert run_cli(*argv, "--out", str(out)) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert b"-0" not in outputs[0][0]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_zero_angle_gives_the_zero_angle_row(self, tmp_path, fmt):
+        outputs = []
+        for grid in ("-0.0,0.0", "0.0,0.0"):
+            out = tmp_path / f"{grid}.{fmt}"
+            assert run_cli("sweep", "--rounds", "20000", f"--grid={grid}", "--format", fmt,
+                           "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        if fmt == "csv":
+            assert outputs[0].split(b"\n")[1:3] == [b"0,1,0,0,1,0,1,true"] * 2
+
     def test_grid_rows_in_input_order(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = run_cli(

@@ -178,3 +178,29 @@ def test_lifted_compares_count_each_rounds_own_row(data, columns, n):
     k = np.array(data.draw(st.lists(uniform_bits, min_size=n, max_size=n)), np.uint64)
     expected = [sum(int(k[i]) >= t for t in rows[pair[i]]) for i in range(n)]
     np.testing.assert_array_equal(protocol._count_thresholds(thresholds, pair, k), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), columns=st.integers(1, 4), n=st.integers(0, 60))
+def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
+    # Any four rows, sorted or not, through a session's lookup and fallback.
+    rows = data.draw(st.lists(st.lists(thresholds_53, min_size=columns, max_size=columns),
+                              min_size=4, max_size=4))
+    thresholds = np.array(rows, dtype=np.uint64)
+    buckets = protocol._bucket_table(thresholds)
+    tables = protocol.SamplingTables(thresholds, None, buckets, None)
+    # Every bucket's first and last key, each threshold's T - 1, T and T + 1
+    # and drawn keys, on every row.
+    first = np.arange(0, 2**53, protocol._BUCKET_KEYS, dtype=np.uint64)
+    edges = {k for t in thresholds.ravel().tolist() for k in (t - 1, t, t + 1)}
+    keys = np.concatenate([first, first + np.uint64(protocol._BUCKET_KEYS - 1),
+                           np.array(sorted(k for k in edges if 0 <= k < 2**53), np.uint64)])
+    pair = np.repeat(np.arange(4, dtype=np.uint8), len(keys))
+    k = np.tile(keys, 4)
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, 3), uniform_bits), min_size=n, max_size=n))
+    pair = np.concatenate([pair, np.array([p for p, _ in drawn], np.uint8)])
+    k = np.concatenate([k, np.array([key for _, key in drawn], np.uint64)])
+    outcome, _ = protocol._sample_codes(tables, pair, k, k)
+    np.testing.assert_array_equal(outcome, (k[:, None] >= thresholds[pair]).sum(axis=1))
+    # Each threshold splits at most one bucket of its row.
+    assert ((buckets.reshape(4, -1) == protocol._STRADDLES).sum(axis=1) <= columns).all()

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,6 +116,14 @@ class TestSessionConfig:
         assert config == plain
         assert run_session(config).to_json() == run_session(plain).to_json()
 
+    def test_negative_zero_is_stored_as_zero(self):
+        config = SessionConfig(n_rounds=1000, upsilon=-0.0, check_fraction=-0.0)
+        plain = SessionConfig(n_rounds=1000, upsilon=0.0, check_fraction=0.0)
+        assert config == plain and hash(config) == hash(plain)
+        assert math.copysign(1.0, config.upsilon) == math.copysign(1.0, config.check_fraction) == 1
+        assert run_session(config).to_json() == run_session(plain).to_json()
+        assert '"upsilon":0.0' in run_session(config).to_json()
+
     def test_attack_active_only_for_positive_upsilon(self):
         assert not SessionConfig(n_rounds=1).attack_active
         assert not SessionConfig(n_rounds=1, upsilon=0.0).attack_active
@@ -194,6 +204,59 @@ class TestSampler:
                     assert eve[row] == scalar_draw(p_eve, u_eve), (pair, w_eve)
                 else:
                     assert eve[row] == -1
+
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
+    def test_kernel_maps_threshold_edges_like_the_exact_compare(self, upsilon):
+        # Words laid out as the round stream's: keys at each threshold's T - 1
+        # and T, on every pair, under random low bits and choice words.
+        tables = sampling_tables(upsilon)
+        rng = np.random.default_rng(17)
+        thresholds = [t for t in (tables.outcome_thresholds, tables.eve_thresholds)
+                      if t is not None]
+        keys = {k for table in thresholds for t in table.ravel().tolist() for k in (t - 1, t)}
+        keys = np.array(sorted(k for k in keys if 0 <= k < 2**53), dtype=np.uint64)
+        pair, k_outcome, k_eve = (a.ravel() for a in np.meshgrid(
+            np.arange(4, dtype=np.uint8), keys, keys, indexing="ij"))
+        words = rng.integers(0, 2**64, (len(pair), 4), dtype=np.uint64, endpoint=False)
+        words[:, 0] = (words[:, 0] >> np.uint64(1)) | (pair >> 1).astype(np.uint64) << 63
+        words[:, 1] = (words[:, 1] >> np.uint64(1)) | (pair & 1).astype(np.uint64) << 63
+        for column, k in ((2, k_outcome), (3, k_eve)):
+            words[:, column] = (words[:, column] & np.uint64(2**11 - 1)) | k << np.uint64(11)
+        disclosed = rng.random(len(pair)) < 0.5
+        with mock.patch.object(protocol, "_philox_words", lambda *args: words):
+            draws = protocol._draw_chunk(0, 0, len(pair))
+        codes = protocol._map_draws(tables, draws, disclosed)
+        outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
+        eve = np.full(len(pair), -1, dtype=np.int8)
+        if tables.eve_thresholds is not None:
+            d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
+            eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
+        np.testing.assert_array_equal(codes, protocol._encode(pair, outcome, eve, disclosed))
+
+    def test_bucket_tables_are_small_read_only_and_rebuilt_with_the_cache(self):
+        per_angle = 32 * 2**10
+        for upsilon in (None, 0.0, math.pi / 6, math.pi / 2):
+            tables = sampling_tables(upsilon)
+            buckets = [b for b in (tables.outcome_buckets, tables.eve_buckets) if b is not None]
+            assert sum(b.nbytes for b in buckets) <= per_angle
+            for table in buckets:
+                with pytest.raises(ValueError):
+                    table[0] = 0
+        assert sampling_tables.cache_info().maxsize * per_angle <= 2 * 2**20
+        before = sampling_tables(math.pi / 6)
+        sampling_tables.cache_clear()
+        after = sampling_tables(math.pi / 6)
+        assert after.outcome_buckets is not before.outcome_buckets
+        np.testing.assert_array_equal(after.outcome_buckets, before.outcome_buckets)
+        np.testing.assert_array_equal(after.eve_buckets, before.eve_buckets)
+
+    def test_importing_the_package_builds_no_table(self):
+        code = ("import scqkd, scqkd.cli, scqkd.protocol as p; "
+                "print(p.sampling_tables.cache_info().currsize)")
+        src = str(Path(protocol.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "0\n"
 
     def test_degenerate_distribution_is_deterministic(self, draw_pair):
         codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, None, 100, np.random.default_rng(3))
