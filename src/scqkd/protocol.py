@@ -24,8 +24,8 @@ session runs chunk by chunk through one kernel in two steps:
 tables: one lookup per round and key, and an exact integer compare only
 for the few rounds in a bucket that a threshold splits.  Sessions that
 differ only in upsilon share every draw, so ``summarize_sweep`` draws
-each chunk once and maps it at each angle.  Every JSON and CSV artifact of the
-package is encoded here, by ``_canonical`` and ``_csv_line``.
+each chunk once and maps it at each angle.  Every JSON and CSV artifact
+of the package is encoded here, by ``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -157,9 +157,11 @@ class SamplingTables:
     eve_buckets: np.ndarray | None
 
 
-#: A bucket is a pair code and the top 12 bits of a key, which are its word's
-#: top 12: 4 * 4096 one-byte entries per table, each covering 2**41 keys.
-_BUCKET_BITS = 12
+#: A bucket is a pair code and the top 10 bits of a key, which are its word's
+#: top 10: 4 * 1024 one-byte entries per table, each covering 2**43 keys.  A
+#: sweep caches two tables per angle: at 12 bits a 33-angle grid's took 1.1 MB
+#: rather than 0.26 MB, and mapped no faster within the noise of 2 vCPUs.
+_BUCKET_BITS = 10
 _BUCKET_KEYS = 2**(_UNIFORM_BITS - _BUCKET_BITS)
 _BUCKET_SHIFT = np.uint64(64 - _BUCKET_BITS)
 #: A bucket table's entry for a bucket whose keys do not all share one count.
@@ -210,24 +212,27 @@ def sampling_tables(upsilon: float | None) -> SamplingTables:
 def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
     """Each bucket's count of its row's thresholds, or ``_STRADDLES``: a uint8 table.
 
-    Entry ``pair << 12 | k >> 41`` covers the 2**41 keys k of one row that
-    share their top 12 bits.  A count only grows with k, so when the
+    Entry ``pair << 10 | k >> 43`` covers the 2**43 keys k of one row that
+    share their top 10 bits.  A count only grows with k, so when the
     bucket's first and last keys have the same count, every key in it has
     that count; otherwise the entry is ``_STRADDLES``.  Each threshold
     splits at most one bucket of its row.
     """
-    first = np.arange(0, 2**_UNIFORM_BITS, _BUCKET_KEYS, dtype=np.uint64)[:, None]
-    rows = thresholds[:, None, :]
-    at_first = (rows <= first).sum(axis=2)
-    at_last = (rows <= first + np.uint64(_BUCKET_KEYS - 1)).sum(axis=2)
-    return np.where(at_first == at_last, at_first, _STRADDLES).astype(np.uint8).ravel()
+    first = np.arange(0, 2**_UNIFORM_BITS, _BUCKET_KEYS, dtype=np.uint64)
+    last = first + np.uint64(_BUCKET_KEYS - 1)
+    table = np.empty((len(thresholds), len(first)), dtype=np.uint8)
+    for row, ascending in zip(table, np.sort(thresholds, axis=1)):
+        at_first, at_last = (np.searchsorted(ascending, keys, side="right")
+                             for keys in (first, last))
+        row[:] = np.where(at_first == at_last, at_first, _STRADDLES)
+    return table.ravel()
 
 
 def _draws(pair: np.ndarray, w_outcome: np.ndarray, w_eve: np.ndarray) -> tuple:
     """Rounds ready for ``_map_codes`` at any angle, from their pair codes and words.
 
     The words are those of the outcome and Eve keys.  Each key's uint16
-    bucket index is ``pair << 12`` or'd with its word's top 12 bits.
+    bucket index is ``pair << 10`` or'd with its word's top 10 bits.
     """
     pair_high = pair.astype(np.uint16) << _BUCKET_BITS
     indexes = []
