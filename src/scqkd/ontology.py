@@ -2,10 +2,11 @@
 
 A transmission scenario is summarized by P(outcome | alice op, bob op)
 plus the probability that Bob's own detector fires when he blocks.  Two
-tolerance-based predicates classify the transmitted entity:
+predicates, at the fixed tolerance ``TOL``, classify the transmitted entity:
 
 * real: some observation Alice can make locally lets her retrodict Bob's
-  blocking action with certainty (posterior 1 by Bayes);
+  blocking action with certainty (posterior 1 by Bayes, at the prior
+  ``PRIOR_BLOCK`` = 1/2);
 * physical: an ideal intercepting detector always registers the entity --
   Bob's blocking always fires his detector, and his forwarding always
   produces a D1 click under Alice's Reflect setting.
@@ -52,7 +53,11 @@ ALICE_VIEW = MappingProxyType(
 #: Occurrence-probability floor for the existential scan over observations.
 SUPPORT_ATOL = 1e-9
 
-DEFAULT_TOL = 1e-6
+#: How far below certainty a posterior or a detection probability may fall.
+TOL = 1e-6
+
+#: Prior probability that Bob blocks.
+PRIOR_BLOCK = 0.5
 
 
 class IntegrityViolationError(RuntimeError):
@@ -77,13 +82,10 @@ class ScenarioTable:
     name: str
     p_outcome_given_ops: dict[tuple[str, str], dict[str, float]]
     p_bob_detects_given_block: float
-    prior_bob_block: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_bob_detects_given_block <= 1.0:
             raise ValueError("p_bob_detects_given_block must lie in [0, 1]")
-        if not 0.0 < self.prior_bob_block < 1.0:
-            raise ValueError("prior_bob_block must lie in (0, 1)")
         for ops, dist in self.p_outcome_given_ops.items():
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-9:
@@ -94,29 +96,31 @@ class ScenarioTable:
                 if not -1e-12 <= p <= 1.0 + 1e-12:
                     raise ValueError(f"probability out of range for {ops}/{outcome}")
 
-    def alice_ops(self) -> tuple[str, ...]:
-        return tuple(sorted({a for a, _ in self.p_outcome_given_ops}))
+    def _observations(self) -> dict[tuple[str, str], tuple[float, float | None]]:
+        """(occurrence, P(Bob blocked | it)) per (Alice's op, local observation).
 
-    def local_view(self, alice_op: str) -> dict[str, tuple[float, float]]:
-        """Alice-local observation probabilities (given block, given forward)."""
-        view: dict[str, list[float]] = {}
-        for b_index, bob_op in enumerate((Choice.ABSORB.value, Choice.REFLECT.value)):
-            dist = self.p_outcome_given_ops[(alice_op, bob_op)]
+        The posterior is None where the observation's occurrence is not positive.
+        """
+        weights: dict[tuple[str, str], list[float]] = {}
+        for (alice_op, bob_op), dist in self.p_outcome_given_ops.items():
+            b_index = OPS.index(bob_op)
             for outcome, p in dist.items():
-                obs = ALICE_VIEW[outcome]
-                view.setdefault(obs, [0.0, 0.0])[b_index] += p
-        return {obs: (pb, pf) for obs, (pb, pf) in view.items()}
+                weights.setdefault((alice_op, ALICE_VIEW[outcome]), [0.0, 0.0])[b_index] += p
+        observations = {}
+        for key, (p_block, p_forward) in weights.items():
+            occurrence = PRIOR_BLOCK * p_block + (1.0 - PRIOR_BLOCK) * p_forward
+            posterior = PRIOR_BLOCK * p_block / occurrence if occurrence > 0.0 else None
+            observations[key] = occurrence, posterior
+        return observations
 
     def posterior_block(self, alice_op: str, observation: str) -> float:
         """P(Bob blocked | Alice saw ``observation`` under ``alice_op``)."""
-        p_block, p_forward = self.local_view(alice_op).get(observation, (0.0, 0.0))
-        prior = self.prior_bob_block
-        occurrence = prior * p_block + (1.0 - prior) * p_forward
-        if occurrence <= 0.0:
+        _, posterior = self._observations().get((alice_op, observation), (0.0, None))
+        if posterior is None:
             raise ValueError(
                 f"observation {observation!r} has zero probability under {alice_op!r}"
             )
-        return prior * p_block / occurrence
+        return posterior
 
 
 def bayes_no_detection(p_psi: float, prior_block: float) -> float:
@@ -133,45 +137,40 @@ def bayes_no_detection(p_psi: float, prior_block: float) -> float:
     return prior_block / ((1.0 - p_psi) + p_psi * prior_block)
 
 
-def is_real(table: ScenarioTable, tol: float = DEFAULT_TOL) -> bool:
+def is_real(table: ScenarioTable) -> bool:
     """Can Alice ever retrodict Bob's blocking action with certainty?
 
-    Scans every (alice op, locally observable event) pair with occurrence
-    probability above the support floor and checks whether the Bayes
-    posterior for the blocking action reaches 1 - tol.
+    True when some (alice op, locally observable event) pair with
+    occurrence probability above the support floor has a Bayes posterior
+    for the blocking action of at least 1 - ``TOL``.
     """
-    prior = table.prior_bob_block
-    for alice_op in table.alice_ops():
-        for p_block, p_forward in table.local_view(alice_op).values():
-            occurrence = prior * p_block + (1.0 - prior) * p_forward
-            if occurrence < SUPPORT_ATOL:
-                continue
-            if prior * p_block / occurrence >= 1.0 - tol:
-                return True
-    return False
+    return any(
+        occurrence >= SUPPORT_ATOL and posterior >= 1.0 - TOL
+        for occurrence, posterior in table._observations().values()
+    )
 
 
-def is_physical(table: ScenarioTable, tol: float = DEFAULT_TOL) -> bool:
+def is_physical(table: ScenarioTable) -> bool:
     """Is the entity always registered by an ideal intercepting detector?
 
     Requires Bob's detector to fire with certainty when he blocks, and a D1
     click under Alice's Reflect setting to be certain when he forwards.
     """
-    if table.p_bob_detects_given_block < 1.0 - tol:
+    if table.p_bob_detects_given_block < 1.0 - TOL:
         return False
     forward_row = table.p_outcome_given_ops[(Choice.REFLECT.value, Choice.REFLECT.value)]
-    return forward_row.get(Outcome.D1.value, 0.0) >= 1.0 - tol
+    return forward_row.get(Outcome.D1.value, 0.0) >= 1.0 - TOL
 
 
-def classify(table: ScenarioTable, tol: float = DEFAULT_TOL) -> Classification:
+def classify(table: ScenarioTable) -> Classification:
     """Place a scenario in the real/physical taxonomy.
 
     Raises:
         IntegrityViolationError: if the table is physical but not real,
             which the definitions rule out.
     """
-    real = is_real(table, tol)
-    physical = is_physical(table, tol)
+    real = is_real(table)
+    physical = is_physical(table)
     if physical and not real:
         raise IntegrityViolationError(
             f"scenario {table.name!r} is physical but not real; "
@@ -273,16 +272,16 @@ def canonical_tables() -> list[ScenarioTable]:
     ]
 
 
-def classification_matrix(tol: float = DEFAULT_TOL) -> list[dict]:
+def classification_matrix() -> list[dict]:
     """Classify the canonical scenarios; one row dict per scenario."""
     rows = []
     for table in canonical_tables():
         rows.append(
             {
                 "scenario": table.name,
-                "real": is_real(table, tol),
-                "physical": is_physical(table, tol),
-                "classification": classify(table, tol).value,
+                "real": is_real(table),
+                "physical": is_physical(table),
+                "classification": classify(table).value,
             }
         )
     return rows

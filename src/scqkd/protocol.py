@@ -251,7 +251,8 @@ def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
 
     The bucket table gives the count; only the rounds in straddling
     buckets, at most one bucket per threshold, are counted by
-    ``_count_thresholds``.
+    ``_count_thresholds``.  Most chunks have none at some angle, and an
+    empty compare still costs microseconds, so it is skipped.
     """
     count = buckets.take(index)
     straddling = np.flatnonzero(count == _STRADDLES)
@@ -292,21 +293,10 @@ def _sample_codes(
 def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per round, how many integer thresholds of row ``thresholds[pair]`` lie at or below ``k``.
 
-    Row p and the keys of its rounds are lifted by p * 2**53, so every
-    lifted threshold is one scalar compare, with no gather: a key lies above
-    each lower row and below each higher one.  A threshold lifted onto a
-    row's edge only compares pair codes, and one past the last row never counts.
+    Each round gathers its own row and compares it with its key.  Only the
+    rounds of straddling buckets come here, about 0.1% of a session.
     """
-    rows, columns = thresholds.shape
-    lifted = thresholds + (np.arange(rows, dtype=np.uint64) << _UNIFORM_BITS)[:, None]
-    key = np.left_shift(pair, _UNIFORM_BITS, dtype=np.uint64)
-    key |= k
-    count = np.zeros(len(pair), dtype=np.uint8)
-    for threshold in lifted[lifted < rows << _UNIFORM_BITS]:
-        row, rest = divmod(int(threshold), 1 << _UNIFORM_BITS)
-        count += key >= threshold if rest else pair >= row
-    count -= pair * columns
-    return count
+    return (thresholds[pair] <= k[:, None]).sum(axis=1, dtype=np.uint8)
 
 
 #: Lowest and highest code of each log column; rows are rendered by code.

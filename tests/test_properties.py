@@ -169,7 +169,7 @@ uniform_bits = st.sampled_from([0, 1, 2**52, 2**53 - 1]) | st.integers(0, 2**53 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), columns=st.integers(1, 4), n=st.integers(1, 60))
-def test_lifted_compares_count_each_rounds_own_row(data, columns, n):
+def test_row_compare_counts_each_rounds_own_row(data, columns, n):
     # Any four rows, sorted or not, against a direct per-round count.
     rows = data.draw(st.lists(st.lists(thresholds_53, min_size=columns, max_size=columns),
                               min_size=4, max_size=4))
