@@ -251,8 +251,8 @@ def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
 
     The bucket table gives the count; only the rounds in straddling
     buckets, at most one bucket per threshold, are counted by
-    ``_count_thresholds``.  Most chunks have none at some angle, and an
-    empty compare still costs microseconds, so it is skipped.
+    ``_count_thresholds``.  A short chunk often has none, and an empty
+    compare still costs microseconds, so it is skipped.
     """
     count = buckets.take(index)
     straddling = np.flatnonzero(count == _STRADDLES)
