@@ -25,12 +25,16 @@ DISCLOSE_STREAM = 1
 _UINT64_MAX = 2**64 - 1
 
 
+def _is_integer(value) -> bool:
+    """True for int and numpy integers; bool is a flag, not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def philox_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Return the counter-based generator for (seed, stream_id)."""
-    if not 0 <= int(seed) <= _UINT64_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0 <= int(stream_id) <= _UINT64_MAX:
-        raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
+    """Return the counter-based generator for (seed, stream_id), two 64-bit unsigned integers."""
+    for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if not _is_integer(value) or not 0 <= value <= _UINT64_MAX:
+            raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
     return np.random.Generator(_philox(seed, stream_id))
 
 

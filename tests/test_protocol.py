@@ -207,13 +207,15 @@ class TestSampler:
 
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
     def test_kernel_maps_threshold_edges_like_the_exact_compare(self, upsilon):
-        # Words laid out as the round stream's: keys at each threshold's T - 1
-        # and T, on every pair, under random low bits and choice words.
+        # Words laid out as the round stream's: keys at each threshold's T - 1,
+        # T and T + 1, on every pair, under random low bits and choice words.
+        # Each outcome key recurs with every Eve key, so a sort meets ties.
         tables = sampling_tables(upsilon)
         rng = np.random.default_rng(17)
         thresholds = [t for t in (tables.outcome_thresholds, tables.eve_thresholds)
                       if t is not None]
-        keys = {k for table in thresholds for t in table.ravel().tolist() for k in (t - 1, t)}
+        keys = {k for table in thresholds for t in table.ravel().tolist()
+                for k in (t - 1, t, t + 1)}
         keys = np.array(sorted(k for k in keys if 0 <= k < 2**53), dtype=np.uint64)
         pair, k_outcome, k_eve = (a.ravel() for a in np.meshgrid(
             np.arange(4, dtype=np.uint8), keys, keys, indexing="ij"))
@@ -222,16 +224,21 @@ class TestSampler:
         words[:, 1] = (words[:, 1] >> np.uint64(1)) | (pair & 1).astype(np.uint64) << 63
         for column, k in ((2, k_outcome), (3, k_eve)):
             words[:, column] = (words[:, column] & np.uint64(2**11 - 1)) | k << np.uint64(11)
-        disclosed = rng.random(len(pair)) < 0.5
-        with mock.patch.object(protocol, "_philox_words", lambda *args: words):
-            draws = protocol._draw_chunk(0, 0, len(pair))
-        codes = protocol._map_draws(tables, draws, disclosed)
         outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
         eve = np.full(len(pair), -1, dtype=np.int8)
         if tables.eve_thresholds is not None:
             d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
             eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
-        np.testing.assert_array_equal(codes, protocol._encode(pair, outcome, eve, disclosed))
+        for disclosed in (rng.random(len(pair)) < 0.5, np.zeros(len(pair), bool),
+                          np.ones(len(pair), bool)):
+            with mock.patch.object(protocol, "_philox_words", lambda *args: words.copy()):
+                draws = protocol._draw_chunk(0, 0, len(pair))
+                chunk = protocol._sort_chunk(0, 0, disclosed)
+            codes = protocol._map_draws(tables, draws, disclosed)
+            np.testing.assert_array_equal(codes, protocol._encode(pair, outcome, eve, disclosed))
+            # The sorted chunk's histogram, every (pair, outcome, Eve, disclosed) cell of it.
+            np.testing.assert_array_equal(protocol._count_sorted(tables, *chunk),
+                                          protocol._count_codes(codes))
 
     def test_bucket_tables_are_small_read_only_and_rebuilt_with_the_cache(self):
         per_angle = 32 * 2**10
@@ -499,6 +506,18 @@ class TestSummary:
         def kernel():
             draws = protocol._draw_chunk(config.seed, 0, config.n_rounds)
             return protocol._map_draws(tables, draws, disclosed)
+        kernel()  # numpy imports numpy.random on the first draw; leave that untraced
+        assert peak_traced_mb(kernel) <= 3.4
+
+    def test_one_sorted_chunk_holds_about_one_word_array(self):
+        # A 33-angle sweep's chunk: its 2 MiB of words are released before the
+        # sort, whose keys, order and sorted copies take 0.5 MiB each.
+        per_angle = [sampling_tables(k * (math.pi / 2) / 32) for k in range(33)]
+        disclosed = np.zeros(2**16, dtype=bool)
+
+        def kernel():
+            chunk = protocol._sort_chunk(16, 0, disclosed)
+            return [protocol._count_sorted(tables, *chunk) for tables in per_angle]
         kernel()  # numpy imports numpy.random on the first draw; leave that untraced
         assert peak_traced_mb(kernel) <= 3.4
 

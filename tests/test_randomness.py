@@ -34,6 +34,19 @@ class TestPhiloxStream:
         with pytest.raises(ValueError):
             philox_stream(seed, stream)
 
+    @pytest.mark.parametrize("seed,stream", [
+        (1.5, 0), (-0.5, 0), (True, 0), ("3", 0), (np.float64(2.0), 0),
+        (0, 1.5), (0, False), (0, "1"),
+    ])
+    def test_keys_that_are_not_integers_rejected(self, seed, stream):
+        # int() would take each of these to some other stream's key.
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            philox_stream(seed, stream)
+
+    def test_numpy_integer_keys_give_the_int_keys_stream(self):
+        np.testing.assert_array_equal(philox_stream(np.uint64(5), np.int8(1)).random(8),
+                                      philox_stream(5, 1).random(8))
+
     def test_streams_do_not_see_each_other(self):
         # Drawing from one stream never perturbs another.
         a = philox_stream(7, 0)
