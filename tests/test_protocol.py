@@ -231,7 +231,7 @@ class TestSampler:
             eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
         for disclosed in (rng.random(len(pair)) < 0.5, np.zeros(len(pair), bool),
                           np.ones(len(pair), bool)):
-            with mock.patch.object(protocol, "_philox_words", lambda *args: words.copy()):
+            with mock.patch.object(protocol, "_philox_words", lambda *args: words):
                 draws = protocol._draw_chunk(0, 0, len(pair))
                 chunk = protocol._sort_chunk(0, 0, disclosed)
             codes = protocol._map_draws(tables, draws, disclosed)
