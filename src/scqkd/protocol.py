@@ -18,26 +18,16 @@ Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 of the session's histogram of row codes.  A ``SessionLog`` holds that
 histogram alone until a per-round column is first read; its per-round
 export maps the rounds again and renders them as they come.  Every
-session runs chunk by chunk on one thread pool, ``_map_chunks``, and a
-chunk is counted in one of two forms:
-
-- Mapped.  ``_draw_chunk`` draws a chunk's words and their bucket
-  indexes, and ``_map_draws`` maps them into row codes through one
-  angle's bucket tables: one lookup per round and key, and an exact
-  integer compare only for the few rounds in a bucket that a threshold
-  splits.
-- Sorted.  ``_sort_chunk`` sorts the same words' rounds once by
-  (disclosed, pair, outcome key), and ``_count_sorted`` reads one angle's
-  histogram from a binary search of each outcome threshold and a count of
-  Eve's keys in each run of D0 rounds.
+session runs chunk by chunk on one thread pool, ``_map_chunks``, and
+``_draw_chunk`` draws a chunk's words and their bucket indexes.
 
 Sessions that differ only in upsilon share every draw, so
-``summarize_sweep`` draws each chunk once.  A sweep of
-``_SORTED_SWEEP_ANGLES`` angles or more sorts each chunk; a shorter one,
-and so every one-angle session, maps it at each angle.  Per-round columns
-and exports are always mapped: only mapping gives each round's code.
-Every JSON and CSV artifact of the package is encoded here, by
-``_canonical`` and ``_csv_line``.
+``summarize_sweep``, and so ``run_session``, bins each chunk once against
+a grid's merged thresholds (``_Bins``) and reads every angle's histogram
+out of the summed bin counts.  Per-round columns and exports are mapped
+by ``_map_draws`` through one angle's bucket tables: only mapping gives
+each round's code.  Every JSON and CSV artifact of the package is encoded
+here, by ``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -166,9 +156,8 @@ class SamplingTables:
 
 
 #: A bucket is a pair code and the top 10 bits of a key, which are its word's
-#: top 10: 4 * 1024 one-byte entries per table, each covering 2**43 keys.  A
-#: sweep caches two tables per angle: at 12 bits a 33-angle grid's took 1.1 MB
-#: rather than 0.26 MB, and mapped no faster within the noise of 2 vCPUs.
+#: top 10: 4 * 1024 one-byte entries per table, each covering 2**43 keys.  At
+#: 12 bits a 33-angle grid's tables took 1.1 MB, not 0.26, and mapped no faster.
 _BUCKET_BITS = 10
 _BUCKET_KEYS = 2**(_UNIFORM_BITS - _BUCKET_BITS)
 _BUCKET_SHIFT = np.uint64(64 - _BUCKET_BITS)
@@ -237,7 +226,7 @@ def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
 
 
 def _draws(pair: np.ndarray, w_outcome: np.ndarray, w_eve: np.ndarray) -> tuple:
-    """Rounds ready for ``_map_codes`` at any angle, from their pair codes and words.
+    """Rounds ready for ``_map_codes`` or ``_bin_chunk`` at any angle, from pairs and words.
 
     The words are those of the outcome and Eve keys.  Each key's uint16
     bucket index is ``pair << 10`` or'd with its word's top 10 bits.
@@ -302,7 +291,7 @@ def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -
     """Per round, how many integer thresholds of row ``thresholds[pair]`` lie at or below ``k``.
 
     Each round gathers its own row and compares it with its key.  Only the
-    rounds of straddling buckets come here, about 0.1% of a session.
+    rounds of straddling buckets come here: 0.1% of a one-angle session.
     """
     return (thresholds[pair] <= k[:, None]).sum(axis=1, dtype=np.uint8)
 
@@ -606,8 +595,7 @@ def _draw_chunk(seed: int, lo: int, n: int) -> tuple:
     Reflect when its uniform is at least 0.5: its word's top bit is set.
     Words 2 and 3, the outcome and Eve keys, stay strided views of the
     chunk's word array; only the few rounds in straddling buckets ever
-    have their keys shifted out.  A mapped sweep pays this once per chunk
-    and ``_map_draws`` once per angle.
+    have their keys shifted out.
     """
     words = _philox_words(seed, ROUND_STREAM, lo, n)
     pair = (words[:, 0] >= 2**63).view(np.uint8) * 2
@@ -620,15 +608,6 @@ def _map_draws(tables: SamplingTables, draws: tuple, disclosed: np.ndarray) -> n
     return _encode(draws[0], *_map_codes(tables, draws), disclosed)
 
 
-#: A sweep of at least this many angles counts each chunk from one sort of its
-#: keys (``_sort_chunk``, ``_count_sorted``); fewer angles map every round
-#: through each angle's bucket tables.  ``summarize_sweep`` of 2*10**5 rounds,
-#: 1 worker, 2 shared vCPUs, median of 9, mapped vs sorted: 1 angle 8.6 vs
-#: 12.2 ms, 4 angles 11.7 vs 13.8, 6 angles 13.6 vs 13.9, 8 angles 15.7 vs
-#: 14.4, 12 angles 21.0 vs 16.4 and 33 angles 44.3 vs 22.7.
-_SORTED_SWEEP_ANGLES = 8
-
-
 def _code_task(config: SessionConfig):
     """The ``_map_chunks`` task of ``config``'s rounds: a chunk's (first round id, row codes)."""
     tables = sampling_tables(config.upsilon)
@@ -638,78 +617,116 @@ def _code_task(config: SessionConfig):
     return task
 
 
-#: Sorted-order key bits above a round's outcome key: disclosed, then the pair code.
-_GROUP_SHIFT = np.uint64(_UNIFORM_BITS)
-#: The sorted key of each (disclosed, pair) group's lowest key, disclosed major.
-_GROUP_BASES = np.arange(8, dtype=np.uint64)[:, None] << _GROUP_SHIFT
+#: A key above every key: the last threshold of every merged row.
+_TOP = np.uint64(2**_UNIFORM_BITS)
+#: Cells of one batch's joint bin count, whose index is uint16.
+_JOINT_CELLS = 2**16
 
 
-def _sort_chunk(seed: int, lo: int, disclosed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's rounds sorted by ``disclosed << 55 | pair << 53 | k_outcome``, with Eve's keys.
+@dataclass(frozen=True)
+class _Bins:
+    """Angles of a sweep counted together, and where each angle's thresholds lie among theirs.
 
-    The chunk's words are those of ``_draw_chunk``; its uint64 word array
-    is released before the sort, which needs only the composite keys and
-    the Eve keys.  Eve's keys are carried through the same permutation, so
-    every round keeps its own, whatever order the sort gives equal keys.
+    ``merged`` holds per pair code the sorted union of the angles' outcome
+    thresholds and 2**53, padded with 2**53, the same of their Eve tables,
+    and bucket tables.  A round's bin counts its row's merged thresholds at
+    or below its key; its code at an angle is at most j exactly when the bin
+    is below the edge of T[j], the count of merged thresholds at or below it.
+    ``outcome_edges`` holds 0 and the edges, per angle and pair; ``eve_edges``
+    per angle, pair and outcome bounds the Eve-absent cell and Eve's three.
     """
-    words = _philox_words(seed, ROUND_STREAM, lo, len(disclosed))
-    group = disclosed.view(np.uint8) << 2
-    group |= (words[:, 0] >= 2**63).view(np.uint8) << 1
-    group |= words[:, 1] >= 2**63
-    key = np.left_shift(group, _GROUP_SHIFT, dtype=np.uint64)
-    key |= words[:, 2] >> _KEY_SHIFT
-    eve = words[:, 3] >> _KEY_SHIFT
-    del words, group
-    order = key.argsort()
-    return key.take(order), eve.take(order)
+
+    merged: SamplingTables
+    outcome_edges: np.ndarray
+    eve_edges: np.ndarray
+    shape: tuple[int, int, int, int]
 
 
-def _count_sorted(tables: SamplingTables, key: np.ndarray, eve: np.ndarray) -> np.ndarray:
-    """The row-code histogram of a ``_sort_chunk`` at one angle: 32 searches and Eve's counts.
+def _merge(per_angle: list[SamplingTables]) -> list[np.ndarray]:
+    """The merged outcome and Eve thresholds of the ``_Bins`` of these angles."""
+    merged = []
+    for tables in ([t.outcome_thresholds for t in per_angle],
+                   [t.eve_thresholds for t in per_angle if t.eve_thresholds is not None]):
+        rows = [sorted(set(row)) for row in np.hstack([*tables, np.full((4, 1), _TOP)]).tolist()]
+        width = max(map(len, rows))
+        merged.append(np.array([row + [_TOP] * (width - len(row)) for row in rows], np.uint64))
+    return merged
 
-    A (disclosed, pair) group's rounds are one run of ``key``.  Searching
-    it for the group's base plus outcome threshold T[j] finds the end of
-    the group's rounds of code j or less.  The last threshold, 2**53,
-    searches to the next group's base, so the 32 searches, in order, end
-    every (disclosed, pair, outcome) run.  The D0 run carries its rounds'
-    Eve keys, and Eve's code for a round counts her thresholds at or below
-    its key.  Without an Eve table every round is in the Eve-absent cell.
+
+def _bins(per_angle: list[SamplingTables]) -> _Bins:
+    outcome, eve = _merge(per_angle)
+    outcome_edges = np.zeros((len(per_angle), 4, len(OUTCOME_ORDER) + 1), np.intp)
+    eve_edges = np.full((*outcome_edges.shape[:2], len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 2),
+                        eve.shape[1])
+    eve_edges[..., 0] = 0
+    for (angle, tables), pair in itertools.product(enumerate(per_angle), range(4)):
+        outcome_edges[angle, pair, 1:] = outcome[pair].searchsorted(
+            tables.outcome_thresholds[pair], "right")
+        if tables.eve_thresholds is not None:
+            eve_edges[angle, pair, _D0, 1:] = 0, *eve[pair].searchsorted(
+                tables.eve_thresholds[pair], "right")
+    merged = SamplingTables(outcome, eve, _bucket_table(outcome), _bucket_table(eve))
+    return _Bins(merged, outcome_edges, eve_edges, (2, 4, outcome.shape[1], eve.shape[1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
+    """(Once per grid) the grid's angles in batches, each as long as its bins fit their dtypes.
+
+    No key reaches a merged row's last threshold, 2**53, so a row of at most
+    ``_STRADDLES`` thresholds bins below that sentinel.  33 angles are one batch.
     """
-    bounds = np.zeros(8 * len(OUTCOME_ORDER) + 1, dtype=np.int64)
-    bounds[1:] = key.searchsorted(
-        (_GROUP_BASES + np.tile(tables.outcome_thresholds, (2, 1))).ravel())
-    # [group, outcome, eve + 1], with group = disclosed * 4 + pair.
-    counts = np.zeros((8, len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 1), dtype=np.int64)
-    counts[..., 0] = np.diff(bounds).reshape(8, len(OUTCOME_ORDER))
-    if tables.eve_thresholds is not None:
-        # Per group: its D0 rounds, then those whose Eve key is at or above each threshold.
-        at_or_above = np.zeros((8, len(EVE_OUTCOME_ORDER) + 1), dtype=np.int64)
-        for group, row in enumerate(tables.eve_thresholds.tolist() * 2):
-            run = len(OUTCOME_ORDER) * group + _D0
-            d0 = eve[bounds[run]:bounds[run + 1]]
-            at_or_above[group] = [len(d0)] + [np.count_nonzero(d0 >= t) for t in row]
-        counts[:, _D0, 0] = 0
-        counts[:, _D0, 1:] = -np.diff(at_or_above)
-    # To the histogram's axes: pair, outcome, eve + 1, disclosed.
-    return counts.reshape(2, 4, *counts.shape[1:]).transpose(1, 2, 3, 0).ravel()
+    batches = [[]]
+    for tables in map(sampling_tables, upsilons):
+        outcome, eve = (t.shape[1] for t in _merge(batches[-1] + [tables]))
+        if max(outcome, eve) > _STRADDLES or 8 * outcome * eve > _JOINT_CELLS:
+            batches.append([])
+        batches[-1].append(tables)
+    return tuple(map(_bins, batches))
+
+
+def _bin_chunk(plan: tuple[_Bins, ...], seed: int, lo: int,
+               disclosed: np.ndarray) -> list[np.ndarray]:
+    """Per batch of ``plan``, a chunk's rounds per (disclosed, pair, outcome bin, Eve bin).
+
+    One ``bincount`` of the bins' joint index, uint8 when it fits, counts the chunk.
+    """
+    pair, w_outcome, w_eve, at_outcome, at_eve = _draw_chunk(seed, lo, len(disclosed))
+    group = disclosed.view(np.uint8) << 2 | pair
+    counts = []
+    for bins in plan:
+        t, cells = bins.merged, math.prod(bins.shape)
+        joint = np.multiply(group, bins.shape[2], dtype=np.uint8 if cells <= 2**8 else np.uint16)
+        joint += _look_up(t.outcome_buckets, t.outcome_thresholds, pair, at_outcome, w_outcome)
+        joint *= bins.shape[3]
+        joint += _look_up(t.eve_buckets, t.eve_thresholds, pair, at_eve, w_eve)
+        counts.append(np.bincount(joint, minlength=cells))
+    return counts
+
+
+def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
+    """Each angle's row-code histogram: four lookups in prefix sums of the summed bin counts."""
+    below = np.pad(counts.reshape(bins.shape).cumsum(2).cumsum(3), [(0, 0)] * 2 + [(1, 0)] * 2)
+    disclosed, pair = np.arange(2).reshape(2, 1, 1, 1, 1), np.arange(4).reshape(4, 1, 1)
+    edges, eve = bins.outcome_edges[..., None], bins.eve_edges
+    rectangles = (below[disclosed, pair, edges[:, :, 1:], eve]
+                  - below[disclosed, pair, edges[:, :, :-1], eve])
+    # To the histogram's axes: angle, pair, outcome, eve + 1, disclosed.
+    return np.diff(rectangles).transpose(1, 2, 3, 4, 0).reshape(-1, _ROW_CODES)
 
 
 def _map_chunks(config: SessionConfig, workers: int, task):
     """Yield ``task(lo, disclosed)`` per chunk of ``SAMPLING_BLOCK`` rounds, in order.
 
     ``lo`` is the chunk's first round and ``disclosed`` its disclosure
-    mask.  The tasks run on a pool of ``workers`` threads, and each draws
+    mask.  The tasks, ``_code_task``'s map at one angle or ``_bin_chunk``'s
+    count for a sweep, run on a pool of ``workers`` threads, and each draws
     its chunk's words at the chunk's own counter step.  The disclosure
     stream packs four rounds into each counter step; the calling thread
-    draws it in order, a chunk at a time, while the workers map earlier
+    draws it in order, a chunk at a time, while the workers count earlier
     chunks.  At most two chunks per worker are in flight, so memory does
     not grow with the session.  Worker threads call only numpy and private
     helpers, never a public function.
-
-    A task counts its chunk in one of the two forms the module describes.
-    ``_code_task`` maps it into row codes at one angle; ``summarize_sweep``
-    sorts it for ``_SORTED_SWEEP_ANGLES`` angles or more and maps it at
-    each angle of a shorter grid.
     """
     n, check_fraction = config.n_rounds, config.check_fraction
     disclose = philox_stream(config.seed, DISCLOSE_STREAM)
@@ -729,32 +746,20 @@ def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[S
 
     Each log holds only its histogram and equals ``run_session`` of
     ``config`` at that angle, for any worker count; each chunk's words and
-    disclosure mask are drawn once.  With fewer than
-    ``_SORTED_SWEEP_ANGLES`` angles each chunk is mapped at every angle
-    through its bucket tables and its row codes counted.  With that many
-    or more, the chunk is sorted once by ``_sort_chunk`` and each angle's
-    histogram is searched out of it by ``_count_sorted``.  Both forms give
-    the same histograms.
+    disclosure mask are drawn once.  ``_sweep_plan`` merges the grid's
+    thresholds, ``_bin_chunk`` counts each chunk's rounds per bin, and
+    ``_cells`` reads every angle's histogram out of the summed counts.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     configs = [replace(config, upsilon=upsilon) for upsilon in upsilons]
     if not configs:
         return []
-    per_angle = [sampling_tables(c.upsilon) for c in configs]
-
-    if len(per_angle) >= _SORTED_SWEEP_ANGLES:
-        def count(lo: int, disclosed: np.ndarray) -> list[np.ndarray]:
-            chunk = _sort_chunk(config.seed, lo, disclosed)
-            return [_count_sorted(tables, *chunk) for tables in per_angle]
-    else:
-        def count(lo: int, disclosed: np.ndarray) -> list[np.ndarray]:
-            draws = _draw_chunk(config.seed, lo, len(disclosed))
-            return [_count_codes(_map_draws(tables, draws, disclosed)) for tables in per_angle]
-
-    histograms = np.zeros((len(configs), _ROW_CODES), dtype=np.int64)
-    for counts in _map_chunks(config, workers, count):
-        histograms += counts
+    plan = _sweep_plan(tuple(c.upsilon for c in configs))
+    totals = [0] * len(plan)
+    for counts in _map_chunks(config, workers, functools.partial(_bin_chunk, plan, config.seed)):
+        totals = [total + c for total, c in zip(totals, counts)]
+    histograms = np.concatenate([_cells(bins, total) for bins, total in zip(plan, totals)])
     return [SessionLog._of_histogram(c, h, workers) for c, h in zip(configs, histograms)]
 
 
@@ -775,19 +780,14 @@ def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
-    """Simulate ``config.n_rounds`` independent rounds.
+    """Simulate ``config.n_rounds`` independent rounds: ``summarize_sweep`` at its own angle.
 
-    The log is a pure function of the config: round i's uniforms are
-    counter step i of the (seed, round-stream) generator and its
-    disclosure uniform is double i of the (seed, disclose-stream)
-    generator.  Chunks of ``SAMPLING_BLOCK`` rounds are mapped on a pool
-    of ``workers`` threads, so any positive worker count produces
-    identical results.
-
-    Only the session's histogram is counted here, as by ``summarize_sweep``
-    at the config's own angle.  The columns are mapped, on as many threads,
-    when one is first read; a per-round export maps the rounds once more as
-    it renders them, so neither a report nor an export holds a column.
+    Round i's uniforms are counter step i of the (seed, round-stream)
+    generator and its disclosure uniform is double i of the (seed,
+    disclose-stream) generator, so any worker count gives the same log.
+    Only the histogram is counted here.  The columns are mapped when one is
+    first read, and a per-round export maps the rounds again as it renders
+    them, so neither a report nor an export holds a column.
     """
     return summarize_sweep(config, [config.upsilon], workers)[0]
 

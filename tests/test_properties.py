@@ -142,17 +142,15 @@ def reports_or_error(make_reports) -> list[str] | str:
 
 
 @settings(max_examples=25, deadline=None)
-@given(grid=st.lists(st.none() | grid_angles, min_size=1, max_size=5), n=st.integers(1, 5_000),
+@given(grid=st.lists(st.none() | grid_angles, min_size=1, max_size=12), n=st.integers(1, 5_000),
        seed=st.integers(0, 2**64 - 1), check_fraction=st.floats(0.0, 1.0),
-       block=st.integers(1, 2_000), workers=st.integers(1, 4), sorted_from=st.integers(1, 6))
-def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, block, workers,
-                                              sorted_from):
-    # A grid of sorted_from angles or more is counted from sorted chunks, a
-    # shorter one by mapping each round; the sessions are always mapped.
+       block=st.integers(1, 2_000), workers=st.integers(1, 4))
+def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, block, workers):
+    # The sweep bins every angle against the grid's merged thresholds; each
+    # session bins against its own, and its columns are mapped.
     base = SessionConfig(n_rounds=n, seed=seed, check_fraction=check_fraction)
     singles = [run_session(dataclasses.replace(base, upsilon=u)) for u in grid]
-    with mock.patch.object(protocol, "SAMPLING_BLOCK", block), \
-            mock.patch.object(protocol, "_SORTED_SWEEP_ANGLES", sorted_from):
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
         sweep = summarize_sweep(base, grid, workers=workers)
         reports = reports_or_error(lambda: sweep_reports(base, grid, workers=workers))
     assert [s.config for s in sweep] == [s.config for s in singles]

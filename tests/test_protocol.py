@@ -205,17 +205,19 @@ class TestSampler:
                 else:
                     assert eve[row] == -1
 
-    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
-    def test_kernel_maps_threshold_edges_like_the_exact_compare(self, upsilon):
-        # Words laid out as the round stream's: keys at each threshold's T - 1,
-        # T and T + 1, on every pair, under random low bits and choice words.
-        # Each outcome key recurs with every Eve key, so a sort meets ties.
-        tables = sampling_tables(upsilon)
+    @pytest.mark.parametrize("grid", [[None, 0.0, math.pi / 6, math.pi / 2],
+                                      [math.pi / 2, 0.3, None, math.pi / 6, 0.3, 1.1]])
+    def test_kernel_maps_threshold_edges_like_the_exact_compare(self, grid):
+        # Words laid out as the round stream's: keys at each merged threshold's
+        # T - 1, T and T + 1, so at every angle's own, on every pair, under
+        # random low bits and choice words.  Each outcome key recurs with
+        # every Eve key, so every (outcome, Eve) rectangle of bins is met.
+        plan = protocol._sweep_plan(tuple(grid))
+        assert len(plan) == 1
+        merged = plan[0].merged
         rng = np.random.default_rng(17)
-        thresholds = [t for t in (tables.outcome_thresholds, tables.eve_thresholds)
-                      if t is not None]
-        keys = {k for table in thresholds for t in table.ravel().tolist()
-                for k in (t - 1, t, t + 1)}
+        keys = {k for table in (merged.outcome_thresholds, merged.eve_thresholds)
+                for t in table.ravel().tolist() for k in (t - 1, t, t + 1)}
         keys = np.array(sorted(k for k in keys if 0 <= k < 2**53), dtype=np.uint64)
         pair, k_outcome, k_eve = (a.ravel() for a in np.meshgrid(
             np.arange(4, dtype=np.uint8), keys, keys, indexing="ij"))
@@ -224,21 +226,24 @@ class TestSampler:
         words[:, 1] = (words[:, 1] >> np.uint64(1)) | (pair & 1).astype(np.uint64) << 63
         for column, k in ((2, k_outcome), (3, k_eve)):
             words[:, column] = (words[:, column] & np.uint64(2**11 - 1)) | k << np.uint64(11)
-        outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
-        eve = np.full(len(pair), -1, dtype=np.int8)
-        if tables.eve_thresholds is not None:
-            d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
-            eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0], k_eve[d0])
         for disclosed in (rng.random(len(pair)) < 0.5, np.zeros(len(pair), bool),
                           np.ones(len(pair), bool)):
             with mock.patch.object(protocol, "_philox_words", lambda *args: words):
                 draws = protocol._draw_chunk(0, 0, len(pair))
-                chunk = protocol._sort_chunk(0, 0, disclosed)
-            codes = protocol._map_draws(tables, draws, disclosed)
-            np.testing.assert_array_equal(codes, protocol._encode(pair, outcome, eve, disclosed))
-            # The sorted chunk's histogram, every (pair, outcome, Eve, disclosed) cell of it.
-            np.testing.assert_array_equal(protocol._count_sorted(tables, *chunk),
-                                          protocol._count_codes(codes))
+                (counts,) = protocol._bin_chunk(plan, 0, 0, disclosed)
+            for upsilon, histogram in zip(grid, protocol._cells(plan[0], counts)):
+                tables = sampling_tables(upsilon)
+                outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
+                eve = np.full(len(pair), -1, dtype=np.int8)
+                if tables.eve_thresholds is not None:
+                    d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
+                    eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0],
+                                                         k_eve[d0])
+                codes = protocol._map_draws(tables, draws, disclosed)
+                np.testing.assert_array_equal(
+                    codes, protocol._encode(pair, outcome, eve, disclosed))
+                # The binned histogram, every (pair, outcome, Eve, disclosed) cell of it.
+                np.testing.assert_array_equal(histogram, protocol._count_codes(codes))
 
     def test_bucket_tables_are_small_read_only_and_rebuilt_with_the_cache(self):
         per_angle = 32 * 2**10
@@ -509,17 +514,60 @@ class TestSummary:
         kernel()  # numpy imports numpy.random on the first draw; leave that untraced
         assert peak_traced_mb(kernel) <= 3.4
 
-    def test_one_sorted_chunk_holds_about_one_word_array(self):
-        # A 33-angle sweep's chunk: its 2 MiB of words are released before the
-        # sort, whose keys, order and sorted copies take 0.5 MiB each.
-        per_angle = [sampling_tables(k * (math.pi / 2) / 32) for k in range(33)]
+    def test_one_binned_chunk_holds_about_one_word_array(self):
+        # A 33-angle sweep's chunk: beside its 2 MiB of words, the bucket
+        # indexes, the bins and the 0.5 MiB intp copy that bincount makes.
+        plan = protocol._sweep_plan(tuple(k * (math.pi / 2) / 32 for k in range(33)))
+        assert len(plan) == 1
         disclosed = np.zeros(2**16, dtype=bool)
 
         def kernel():
-            chunk = protocol._sort_chunk(16, 0, disclosed)
-            return [protocol._count_sorted(tables, *chunk) for tables in per_angle]
+            return protocol._bin_chunk(plan, 16, 0, disclosed)
         kernel()  # numpy imports numpy.random on the first draw; leave that untraced
         assert peak_traced_mb(kernel) <= 3.4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_long_grid_is_counted_in_batches_like_one_session_per_angle(self, workers):
+        # 300 angles merge into rows too long for one batch's bins.
+        grid = np.random.default_rng(18).uniform(0.0, math.pi / 2, 300).tolist()
+        grid[7], grid[150], grid[299] = grid[200], None, 0.0
+        plan = protocol._sweep_plan(tuple(grid))
+        assert len(plan) > 1
+        assert sum(len(bins.outcome_edges) for bins in plan) == len(grid)
+        for bins in plan:
+            widths = [t.shape[1] for t in (bins.merged.outcome_thresholds,
+                                           bins.merged.eve_thresholds)]
+            assert max(widths) <= protocol._STRADDLES
+            assert 8 * widths[0] * widths[1] <= 2**16
+        config = SessionConfig(n_rounds=3_000, seed=19)
+        with mock.patch.object(protocol, "SAMPLING_BLOCK", 1_024):
+            sweep = summarize_sweep(config, grid, workers=workers)
+        for log, upsilon in zip(sweep, grid, strict=True):
+            single = run_session(replace(config, upsilon=upsilon))
+            np.testing.assert_array_equal(log.histogram, single.histogram)
+
+    def test_a_merged_row_stays_below_the_straddling_sentinel(self):
+        # 130 made-up angles without Eve, each adding two outcome thresholds to
+        # every row: their joint cells stay few, so the rows' length alone
+        # splits the grid, after 127 angles (2 * 127 thresholds and 2**53).
+        rng = np.random.default_rng(20)
+        fake = {}
+        for angle in range(130):
+            thresholds = np.sort(rng.integers(1, 2**53, (4, 4), dtype=np.uint64), axis=1)
+            thresholds[:, 2] = thresholds[:, 1]  # an outcome that never happens
+            thresholds[:, 3] = 2**53
+            fake[float(angle)] = protocol.SamplingTables(
+                thresholds, None, protocol._bucket_table(thresholds), None)
+        with mock.patch.object(protocol, "sampling_tables", fake.__getitem__):
+            plan = protocol._sweep_plan.__wrapped__(tuple(fake))
+        assert [bins.shape[2] for bins in plan] == [protocol._STRADDLES, 2 * 3 + 1]
+        disclosed = rng.random(5_000) < 0.3
+        counts = protocol._bin_chunk(plan, 21, 0, disclosed)
+        histograms = np.concatenate([protocol._cells(b, c) for b, c in zip(plan, counts)])
+        draws = protocol._draw_chunk(21, 0, len(disclosed))
+        for tables, histogram in zip(fake.values(), histograms, strict=True):
+            codes = protocol._map_draws(tables, draws, disclosed)
+            np.testing.assert_array_equal(histogram, protocol._count_codes(codes))
 
 
 class TestDisclosure:
