@@ -231,7 +231,7 @@ class TestSampler:
             with mock.patch.object(protocol, "_philox_words", lambda *args: words):
                 draws = protocol._draw_chunk(0, 0, len(pair))
                 (counts,) = protocol._bin_chunk(plan, 0, 0, disclosed)
-            for upsilon, histogram in zip(grid, protocol._cells(plan[0], counts)):
+            for upsilon, histogram in zip(grid, protocol._cells(plan[0], counts), strict=True):
                 tables = sampling_tables(upsilon)
                 outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
                 eve = np.full(len(pair), -1, dtype=np.int8)
@@ -535,10 +535,8 @@ class TestSummary:
         assert len(plan) > 1
         assert sum(len(bins.outcome_edges) for bins in plan) == len(grid)
         for bins in plan:
-            widths = [t.shape[1] for t in (bins.merged.outcome_thresholds,
-                                           bins.merged.eve_thresholds)]
-            assert max(widths) <= protocol._STRADDLES
-            assert 8 * widths[0] * widths[1] <= 2**16
+            assert max(bins.shape[2:]) <= protocol._STRADDLES
+            assert math.prod(bins.shape) <= 2**16  # a uint16 joint index
         config = SessionConfig(n_rounds=3_000, seed=19)
         with mock.patch.object(protocol, "SAMPLING_BLOCK", 1_024):
             sweep = summarize_sweep(config, grid, workers=workers)
