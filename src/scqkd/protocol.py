@@ -24,10 +24,11 @@ session runs chunk by chunk on one thread pool, ``_map_chunks``, and
 Sessions that differ only in upsilon share every draw, so
 ``summarize_sweep``, and so ``run_session``, bins each chunk once against
 a grid's merged thresholds (``_Bins``) and reads every angle's histogram
-out of the summed bin counts.  Per-round columns and exports are mapped
-by ``_map_draws`` through one angle's bucket tables: only mapping gives
-each round's code.  Every JSON and CSV artifact of the package is encoded
-here, by ``_canonical`` and ``_csv_line``.
+out of the summed bin counts.  Per-round columns and exports read each
+round's row code from the same bins of its own angle: ``_joint`` gives the
+round's bin, whether it is counted or mapped, and ``_row_table`` the row
+that ``_cells`` counts that bin in.  Every JSON and CSV artifact of the
+package is encoded here, by ``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SamplingTables:
-    """The integer law every round at one probe angle is drawn from, and its bucket tables.
+    """The integer law every round at one probe angle is drawn from.
 
     Rows are indexed by the pair code ``2 * alice + bob`` in
     ``CHOICES_BY_CODE`` codes.  Column j of ``outcome_thresholds[pair]`` is
@@ -144,15 +145,10 @@ class SamplingTables:
     k * 2**-53 is at or above c exactly when k is at or above ceil(c * 2**53),
     so a round's code, the number of its row's thresholds at or below k, is
     j with probability (T[j] - T[j - 1]) * 2**-53, where T[-1] = 0.
-
-    ``outcome_buckets`` and ``eve_buckets`` are those counts looked up
-    rather than compared: ``_bucket_table`` of each threshold table.
     """
 
     outcome_thresholds: np.ndarray
     eve_thresholds: np.ndarray | None
-    outcome_buckets: np.ndarray
-    eve_buckets: np.ndarray | None
 
 
 #: A bucket is a pair code and the top 10 bits of a key, which are its word's
@@ -196,14 +192,10 @@ def sampling_tables(upsilon: float | None) -> SamplingTables:
         None if cdf is None else np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
         for cdf in (outcome_cdf, eve_cdf)
     )
-    tables = SamplingTables(
-        outcome_thresholds, eve_thresholds, _bucket_table(outcome_thresholds),
-        None if eve_thresholds is None else _bucket_table(eve_thresholds),
-    )
-    for array in vars(tables).values():
+    for array in (outcome_thresholds, eve_thresholds):
         if array is not None:
             array.flags.writeable = False  # shared by every caller through the cache
-    return tables
+    return SamplingTables(outcome_thresholds, eve_thresholds)
 
 
 def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
@@ -225,23 +217,6 @@ def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
     return table.ravel()
 
 
-def _draws(pair: np.ndarray, w_outcome: np.ndarray, w_eve: np.ndarray) -> tuple:
-    """Rounds ready for ``_map_codes`` or ``_bin_chunk`` at any angle, from pairs and words.
-
-    The words are those of the outcome and Eve keys.  Each key's uint16
-    bucket index is ``pair << 10`` or'd with its word's top 10 bits.
-    """
-    pair_high = pair.astype(np.uint16) << _BUCKET_BITS
-    indexes = []
-    for words in (w_outcome, w_eve):
-        # Shifted as uint64 and cast on the way out, with no uint64 temporary.
-        index = np.right_shift(words, _BUCKET_SHIFT, casting="unsafe",
-                               out=np.empty(len(words), np.uint16))
-        index |= pair_high
-        indexes.append(index)
-    return (pair, w_outcome, w_eve, *indexes)
-
-
 def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
              index: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Per round, how many thresholds of row ``thresholds[pair]`` lie at or below its key.
@@ -258,33 +233,6 @@ def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
             thresholds, pair[straddling], words[straddling] >> _KEY_SHIFT
         )
     return count
-
-
-def _map_codes(tables: SamplingTables, draws: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The (outcome, Eve) codes of ``_draws`` at one angle: two table lookups per round.
-
-    Each code counts the thresholds of its row at or below the round's
-    key, which is the inverse-CDF draw.  Eve measures only D0 rounds under
-    an attack; every other round gets -1.
-    """
-    pair, w_outcome, w_eve, at_outcome, at_eve = draws
-    outcome = _look_up(tables.outcome_buckets, tables.outcome_thresholds, pair, at_outcome,
-                       w_outcome)
-    if tables.eve_thresholds is None:
-        return outcome, np.full(len(pair), _EVE_ABSENT, dtype=np.int8)
-    eve = _look_up(tables.eve_buckets, tables.eve_thresholds, pair, at_eve, w_eve)
-    # uint8 arithmetic, far cheaper than a masked store: 0 off D0, then -1.
-    eve += 1
-    eve *= outcome == _D0
-    eve -= 1
-    return outcome, eve.view(np.int8)
-
-
-def _sample_codes(
-    tables: SamplingTables, pair: np.ndarray, k_outcome: np.ndarray, k_eve: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map uint8 pair codes and two uniforms k * 2**-53 per round to (outcome, Eve) codes."""
-    return _map_codes(tables, _draws(pair, k_outcome << _KEY_SHIFT, k_eve << _KEY_SHIFT))
 
 
 def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -588,33 +536,29 @@ def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _draw_chunk(seed: int, lo: int, n: int) -> tuple:
-    """The ``_draws`` of rounds ``lo`` to ``lo + n``: everything about them but the angle.
+    """Rounds ``lo`` to ``lo + n`` for ``_joint``: pair codes, key words and bucket indexes.
 
     Round i's four words are Philox counter step i of the round stream,
     so the chunk draws them at its own counter step ``lo``.  A choice is
     Reflect when its uniform is at least 0.5: its word's top bit is set.
     Words 2 and 3, the outcome and Eve keys, stay strided views of the
     chunk's word array; only the few rounds in straddling buckets ever
-    have their keys shifted out.
+    have their keys shifted out.  A key's uint16 bucket index is
+    ``pair << 10`` or'd with its word's top 10 bits.
     """
     words = _philox_words(seed, ROUND_STREAM, lo, n)
     pair = (words[:, 0] >= 2**63).view(np.uint8) * 2
     pair += words[:, 1] >= 2**63
-    return _draws(pair, words[:, 2], words[:, 3])
-
-
-def _map_draws(tables: SamplingTables, draws: tuple, disclosed: np.ndarray) -> np.ndarray:
-    """Row codes of a chunk's draws at one angle; the draws are left as they were."""
-    return _encode(draws[0], *_map_codes(tables, draws), disclosed)
-
-
-def _code_task(config: SessionConfig):
-    """The ``_map_chunks`` task of ``config``'s rounds: a chunk's (first round id, row codes)."""
-    tables = sampling_tables(config.upsilon)
-
-    def task(lo: int, disclosed: np.ndarray) -> tuple[int, np.ndarray]:
-        return lo, _map_draws(tables, _draw_chunk(config.seed, lo, len(disclosed)), disclosed)
-    return task
+    keys = words[:, 2], words[:, 3]
+    pair_high = pair.astype(np.uint16) << _BUCKET_BITS
+    indexes = []
+    for key_words in keys:
+        # Shifted as uint64 and cast on the way out, with no uint64 temporary.
+        index = np.right_shift(key_words, _BUCKET_SHIFT, casting="unsafe",
+                               out=np.empty(n, np.uint16))
+        index |= pair_high
+        indexes.append(index)
+    return (pair, *keys, *indexes)
 
 
 #: A key above every key: the last threshold of every merged row.
@@ -625,18 +569,24 @@ _JOINT_CELLS = 2**16
 
 @dataclass(frozen=True)
 class _Bins:
-    """Angles of a sweep counted together, and where each angle's thresholds lie among theirs.
+    """Angles counted together, and where each angle's thresholds lie among theirs.
 
-    ``merged`` holds per pair code the sorted union of the angles' outcome
-    thresholds and 2**53, padded with 2**53, the same of their Eve tables,
-    and bucket tables.  A round's bin counts its row's merged thresholds at
-    or below its key; its code at an angle is at most j exactly when the bin
-    is below the edge of T[j], the count of merged thresholds at or below it.
+    Per pair code, ``outcome_thresholds`` is the sorted union of the angles'
+    outcome thresholds and 2**53, padded with 2**53, ``eve_thresholds`` the
+    same of their Eve tables, and the bucket tables are ``_bucket_table`` of
+    each.  A round's bin counts its row's merged thresholds at or below its
+    key; its code at an angle is at most j exactly when the bin is below the
+    edge of T[j], the count of merged thresholds at or below it.
     ``outcome_edges`` holds 0 and the edges, per angle and pair; ``eve_edges``
-    per angle, pair and outcome bounds the Eve-absent cell and Eve's three.
+    per angle, pair and outcome bounds the Eve-absent cell and Eve's three,
+    so each joint bin lies in one row at each angle.  Sessions are counted in
+    these bins, and per-round rows are read from those of their own angle.
     """
 
-    merged: SamplingTables
+    outcome_thresholds: np.ndarray
+    eve_thresholds: np.ndarray
+    outcome_buckets: np.ndarray
+    eve_buckets: np.ndarray
     outcome_edges: np.ndarray
     eve_edges: np.ndarray
     shape: tuple[int, int, int, int]
@@ -662,11 +612,16 @@ def _bins(per_angle: list[SamplingTables]) -> _Bins:
     for (angle, tables), pair in itertools.product(enumerate(per_angle), range(4)):
         outcome_edges[angle, pair, 1:] = outcome[pair].searchsorted(
             tables.outcome_thresholds[pair], "right")
-        if tables.eve_thresholds is not None:
+        # Eve's row is zeros on a pair whose D0 cannot happen: its D0 bins stay Eve-absent.
+        if tables.eve_thresholds is not None and tables.eve_thresholds[pair, -1]:
             eve_edges[angle, pair, _D0, 1:] = 0, *eve[pair].searchsorted(
                 tables.eve_thresholds[pair], "right")
-    merged = SamplingTables(outcome, eve, _bucket_table(outcome), _bucket_table(eve))
-    return _Bins(merged, outcome_edges, eve_edges, (2, 4, outcome.shape[1], eve.shape[1]))
+    bins = _Bins(outcome, eve, _bucket_table(outcome), _bucket_table(eve), outcome_edges,
+                 eve_edges, (2, 4, outcome.shape[1], eve.shape[1]))
+    for array in vars(bins).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False  # shared by every caller through the cache
+    return bins
 
 
 @functools.lru_cache(maxsize=16)
@@ -685,23 +640,27 @@ def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
     return tuple(map(_bins, batches))
 
 
+def _joint(bins: _Bins, disclosed: np.ndarray, draws: tuple) -> np.ndarray:
+    """Each round's joint bin (disclosed, pair, outcome bin, Eve bin) in ``bins``.
+
+    The index is uint8 when it fits.  A session is counted by these bins,
+    and a per-round map reads each round's row by its bin.
+    """
+    pair, w_outcome, w_eve, at_outcome, at_eve = draws
+    dtype = np.uint8 if math.prod(bins.shape) <= 2**8 else np.uint16
+    joint = np.multiply(disclosed.view(np.uint8) << 2 | pair, bins.shape[2], dtype=dtype)
+    joint += _look_up(bins.outcome_buckets, bins.outcome_thresholds, pair, at_outcome, w_outcome)
+    joint *= bins.shape[3]
+    joint += _look_up(bins.eve_buckets, bins.eve_thresholds, pair, at_eve, w_eve)
+    return joint
+
+
 def _bin_chunk(plan: tuple[_Bins, ...], seed: int, lo: int,
                disclosed: np.ndarray) -> list[np.ndarray]:
-    """Per batch of ``plan``, a chunk's rounds per (disclosed, pair, outcome bin, Eve bin).
-
-    One ``bincount`` of the bins' joint index, uint8 when it fits, counts the chunk.
-    """
-    pair, w_outcome, w_eve, at_outcome, at_eve = _draw_chunk(seed, lo, len(disclosed))
-    group = disclosed.view(np.uint8) << 2 | pair
-    counts = []
-    for bins in plan:
-        t, cells = bins.merged, math.prod(bins.shape)
-        joint = np.multiply(group, bins.shape[2], dtype=np.uint8 if cells <= 2**8 else np.uint16)
-        joint += _look_up(t.outcome_buckets, t.outcome_thresholds, pair, at_outcome, w_outcome)
-        joint *= bins.shape[3]
-        joint += _look_up(t.eve_buckets, t.eve_thresholds, pair, at_eve, w_eve)
-        counts.append(np.bincount(joint, minlength=cells))
-    return counts
+    """Per batch of ``plan``, a chunk's rounds per joint bin: one ``bincount`` each."""
+    draws = _draw_chunk(seed, lo, len(disclosed))
+    return [np.bincount(_joint(bins, disclosed, draws), minlength=math.prod(bins.shape))
+            for bins in plan]
 
 
 def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
@@ -715,18 +674,48 @@ def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
     return np.diff(rectangles).transpose(1, 2, 3, 4, 0).reshape(-1, _ROW_CODES)
 
 
+def _row_table(bins: _Bins) -> np.ndarray:
+    """The row code of each joint bin of a one-angle ``_Bins``: at most 160 uint8 cells.
+
+    A bin's outcome code counts the angle's outcome edges at or below its
+    outcome bin, and Eve's code + 1 counts the Eve edges of its pair and
+    outcome at or below its Eve bin: the row whose ``_cells`` rectangle
+    holds the bin.
+    """
+    disclosed, pair, outcome_bin, eve_bin = np.indices(bins.shape)
+    outcome = (bins.outcome_edges[0, pair, 1:] <= outcome_bin[..., None]).sum(-1)
+    eve = (bins.eve_edges[0, pair, outcome, 1:] <= eve_bin[..., None]).sum(-1) - 1
+    return _encode(pair, outcome, eve, disclosed).ravel()
+
+
+def _code_task(config: SessionConfig):
+    """The ``_map_chunks`` task of ``config``'s rounds: a chunk's (first round id, row codes).
+
+    A round's row code is read by its joint bin from its angle's one-angle
+    plan, the bins that its session is counted in.
+    """
+    (bins,) = _sweep_plan((config.upsilon,))
+    rows = _row_table(bins)
+
+    def task(lo: int, disclosed: np.ndarray) -> tuple[int, np.ndarray]:
+        draws = _draw_chunk(config.seed, lo, len(disclosed))
+        return lo, rows.take(_joint(bins, disclosed, draws))
+    return task
+
+
 def _map_chunks(config: SessionConfig, workers: int, task):
     """Yield ``task(lo, disclosed)`` per chunk of ``SAMPLING_BLOCK`` rounds, in order.
 
     ``lo`` is the chunk's first round and ``disclosed`` its disclosure
     mask.  The tasks, ``_code_task``'s map at one angle or ``_bin_chunk``'s
-    count for a sweep, run on a pool of ``workers`` threads, and each draws
-    its chunk's words at the chunk's own counter step.  The disclosure
-    stream packs four rounds into each counter step; the calling thread
-    draws it in order, a chunk at a time, while the workers count earlier
-    chunks.  At most two chunks per worker are in flight, so memory does
-    not grow with the session.  Worker threads call only numpy and private
-    helpers, never a public function.
+    count for a sweep, both read each round's bin from ``_joint``.  They
+    run on a pool of ``workers`` threads, and each draws its chunk's words
+    at the chunk's own counter step.  The disclosure stream packs four
+    rounds into each counter step; the calling thread draws it in order, a
+    chunk at a time, while the workers count earlier chunks.  At most two
+    chunks per worker are in flight, so memory does not grow with the
+    session.  Worker threads call only numpy and private helpers, never a
+    public function.
     """
     n, check_fraction = config.n_rounds, config.check_fraction
     disclose = philox_stream(config.seed, DISCLOSE_STREAM)

@@ -1,31 +1,49 @@
-"""Shared helpers: fixed-pair draws from the session sampler, a log's columns and peak memory."""
+"""Shared helpers: rounds mapped by the session's own task, a log's columns and peak memory."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from scqkd.protocol import CHOICES_BY_CODE, _sample_codes, sampling_tables
+from scqkd import protocol
+from scqkd.protocol import CHOICES_BY_CODE, SessionConfig
+
+
+def round_words(pair, w_outcome, w_eve):
+    """Round-stream words of rounds with these pair codes and outcome and Eve words.
+
+    Each choice word's top bit is its choice code and its other bits are 0.
+    """
+    words = np.zeros((len(pair), 4), np.uint64)
+    words[:, 0] = (pair >> 1).astype(np.uint64) << 63
+    words[:, 1] = (pair & 1).astype(np.uint64) << 63
+    words[:, 2], words[:, 3] = w_outcome, w_eve
+    return words
+
+
+def mapped_codes(upsilon, words, disclosed):
+    """Row codes that ``_code_task`` maps one chunk of round-stream ``words`` to at ``upsilon``."""
+    task = protocol._code_task(SessionConfig(n_rounds=len(words), upsilon=upsilon))
+    with mock.patch.object(protocol, "_philox_words", lambda *args: words):
+        _, codes = task(0, disclosed)
+    return codes
 
 
 def draw_pair(alice, bob, upsilon, n, rng, given_d0=False):
     """Draw ``n`` rounds of one choice pair; return (outcome codes, Eve codes).
 
-    The codes come from the same tables and mapping that ``run_session``
-    uses, fed the top 53 bits of ``rng``'s raw words: the uniforms that
-    ``rng.random(n)`` would give.  With ``given_d0`` every outcome uniform
-    is 0, which lands on D0 whenever D0 is possible, so the Eve codes are
-    ``n`` draws of her measurement on that pair's D0 probe.
+    The codes are those the session's per-round task maps ``rng``'s raw
+    words to, whose top 53 bits give the uniforms that ``rng.random(n)``
+    would.  With ``given_d0`` every outcome uniform is 0, which lands on D0
+    whenever D0 is possible, so the Eve codes are ``n`` draws of her
+    measurement on that pair's D0 probe.
     """
     pair = np.full(n, 2 * CHOICES_BY_CODE.index(alice) + CHOICES_BY_CODE.index(bob), np.uint8)
-    k_outcome = np.zeros(n, np.uint64) if given_d0 else top_bits(rng.bit_generator.random_raw(n))
-    k_eve = top_bits(rng.bit_generator.random_raw(n))
-    return _sample_codes(sampling_tables(upsilon), pair, k_outcome, k_eve)
-
-
-def top_bits(words):
-    """The top 53 bits of each 64-bit word: its uniform is that integer times 2**-53."""
-    return np.asarray(words, dtype=np.uint64) >> 11
+    w_outcome = np.zeros(n, np.uint64) if given_d0 else rng.bit_generator.random_raw(n)
+    words = round_words(pair, w_outcome, rng.bit_generator.random_raw(n))
+    columns = protocol._decode(mapped_codes(upsilon, words, np.zeros(n, bool)))
+    return columns["outcome"], columns["eve_result"]
 
 
 @pytest.fixture(name="draw_pair")

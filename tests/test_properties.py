@@ -14,7 +14,7 @@ from scqkd.core import OUTCOME_ORDER, Outcome
 from scqkd.protocol import SessionConfig, run_session, sift, summarize_sweep
 from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
-from conftest import with_columns
+from conftest import round_words, with_columns
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
@@ -190,7 +190,6 @@ def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
                               min_size=4, max_size=4))
     thresholds = np.array(rows, dtype=np.uint64)
     buckets = protocol._bucket_table(thresholds)
-    tables = protocol.SamplingTables(thresholds, None, buckets, None)
     # Every bucket's first and last key, each threshold's T - 1, T and T + 1
     # and drawn keys, on every row.
     first = np.arange(0, 2**53, protocol._BUCKET_KEYS, dtype=np.uint64)
@@ -202,7 +201,25 @@ def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
     drawn = data.draw(st.lists(st.tuples(st.integers(0, 3), uniform_bits), min_size=n, max_size=n))
     pair = np.concatenate([pair, np.array([p for p, _ in drawn], np.uint8)])
     k = np.concatenate([k, np.array([key for _, key in drawn], np.uint64)])
-    outcome, _ = protocol._sample_codes(tables, pair, k, k)
-    np.testing.assert_array_equal(outcome, (k[:, None] >= thresholds[pair]).sum(axis=1))
+    # Bucket indexes as the session's own chunks make them, from keys k * 2**11.
+    words = round_words(pair, k << np.uint64(11), k << np.uint64(11))
+    with mock.patch.object(protocol, "_philox_words", lambda *args: words):
+        pair, w_outcome, _, index, _ = protocol._draw_chunk(0, 0, len(words))
+    count = protocol._look_up(buckets, thresholds, pair, index, w_outcome)
+    np.testing.assert_array_equal(count, (k[:, None] >= thresholds[pair]).sum(axis=1))
     # Each threshold splits at most one bucket of its row.
     assert ((buckets.reshape(4, -1) == protocol._STRADDLES).sum(axis=1) <= columns).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(upsilon=st.none() | st.just(0.0) | st.floats(0.0, math.pi / 2))
+def test_a_rounds_row_is_the_row_its_bin_is_counted_in(upsilon):
+    # The per-round map and the histogram share one definition: a joint bin's
+    # row code is the one cell that _cells counts a round of that bin in.
+    (bins,) = protocol._sweep_plan((upsilon,))
+    rows = protocol._row_table(bins)
+    assert rows.dtype == np.uint8 and len(rows) == math.prod(bins.shape) <= 160
+    for cell, one_hot in enumerate(np.eye(len(rows), dtype=np.int64)):
+        (histogram,) = protocol._cells(bins, one_hot)
+        assert np.flatnonzero(histogram).tolist() == [int(rows[cell])]
+        assert histogram[rows[cell]] == 1

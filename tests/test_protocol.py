@@ -27,14 +27,13 @@ from scqkd.protocol import (
     Announcement,
     SessionConfig,
     SessionLog,
-    _sample_codes,
     run_session,
     sampling_tables,
     sift,
     summarize_sweep,
 )
 
-from conftest import peak_traced_mb, with_columns
+from conftest import mapped_codes, peak_traced_mb, round_words, with_columns
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -193,9 +192,10 @@ class TestSampler:
             words = np.concatenate(
                 [rng.bit_generator.random_raw((500, 2)), np.stack([edges, edges[::-1]], 1)]
             )
-            outcome, eve = _sample_codes(
-                tables, np.full(len(words), pair, np.uint8), words[:, 0] >> 11, words[:, 1] >> 11
-            )
+            pairs = np.full(len(words), pair, np.uint8)
+            columns = protocol._decode(mapped_codes(
+                upsilon, round_words(pairs, words[:, 0], words[:, 1]), np.zeros(len(words), bool)))
+            outcome, eve = columns["outcome"], columns["eve_result"]
             for row, (w_outcome, w_eve) in enumerate(words.tolist()):
                 u_outcome, u_eve = (w_outcome >> 11) * 2.0**-53, (w_eve >> 11) * 2.0**-53
                 expected = scalar_draw(p_outcome, u_outcome)
@@ -212,11 +212,12 @@ class TestSampler:
         # T - 1, T and T + 1, so at every angle's own, on every pair, under
         # random low bits and choice words.  Each outcome key recurs with
         # every Eve key, so every (outcome, Eve) rectangle of bins is met.
+        # Each angle's per-round codes and binned histogram must both equal
+        # the exact compare's.
         plan = protocol._sweep_plan(tuple(grid))
         assert len(plan) == 1
-        merged = plan[0].merged
         rng = np.random.default_rng(17)
-        keys = {k for table in (merged.outcome_thresholds, merged.eve_thresholds)
+        keys = {k for table in (plan[0].outcome_thresholds, plan[0].eve_thresholds)
                 for t in table.ravel().tolist() for k in (t - 1, t, t + 1)}
         keys = np.array(sorted(k for k in keys if 0 <= k < 2**53), dtype=np.uint64)
         pair, k_outcome, k_eve = (a.ravel() for a in np.meshgrid(
@@ -229,7 +230,6 @@ class TestSampler:
         for disclosed in (rng.random(len(pair)) < 0.5, np.zeros(len(pair), bool),
                           np.ones(len(pair), bool)):
             with mock.patch.object(protocol, "_philox_words", lambda *args: words):
-                draws = protocol._draw_chunk(0, 0, len(pair))
                 (counts,) = protocol._bin_chunk(plan, 0, 0, disclosed)
             for upsilon, histogram in zip(grid, protocol._cells(plan[0], counts), strict=True):
                 tables = sampling_tables(upsilon)
@@ -239,36 +239,39 @@ class TestSampler:
                     d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
                     eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0],
                                                          k_eve[d0])
-                codes = protocol._map_draws(tables, draws, disclosed)
-                np.testing.assert_array_equal(
-                    codes, protocol._encode(pair, outcome, eve, disclosed))
+                expected = protocol._encode(pair, outcome, eve, disclosed)
+                np.testing.assert_array_equal(mapped_codes(upsilon, words, disclosed), expected)
                 # The binned histogram, every (pair, outcome, Eve, disclosed) cell of it.
-                np.testing.assert_array_equal(histogram, protocol._count_codes(codes))
+                np.testing.assert_array_equal(histogram, protocol._count_codes(expected))
 
     def test_bucket_tables_are_small_read_only_and_rebuilt_with_the_cache(self):
-        per_angle = 32 * 2**10
-        for upsilon in (None, 0.0, math.pi / 6, math.pi / 2):
-            tables = sampling_tables(upsilon)
-            buckets = [b for b in (tables.outcome_buckets, tables.eve_buckets) if b is not None]
-            assert sum(b.nbytes for b in buckets) <= per_angle
-            for table in buckets:
-                with pytest.raises(ValueError):
-                    table[0] = 0
-        assert sampling_tables.cache_info().maxsize * per_angle <= 2 * 2**20
-        before = sampling_tables(math.pi / 6)
-        sampling_tables.cache_clear()
-        after = sampling_tables(math.pi / 6)
+        # A plan's merged bucket tables: one byte per pair code and bucket.
+        per_batch = 2 * 4 * 2**10
+        grids = [(None,), (0.0,), (math.pi / 6,), (math.pi / 2,),
+                 tuple(k * (math.pi / 2) / 32 for k in range(33))]
+        for grid in grids:
+            for bins in protocol._sweep_plan(grid):
+                assert bins.outcome_buckets.nbytes + bins.eve_buckets.nbytes <= per_batch
+                for array in (bins.outcome_buckets, bins.eve_buckets, bins.outcome_thresholds,
+                              bins.eve_thresholds, bins.outcome_edges, bins.eve_edges):
+                    with pytest.raises(ValueError):
+                        array[0] = 0
+        assert protocol._sweep_plan.cache_info().maxsize * per_batch <= 2 * 2**20
+        (before,) = protocol._sweep_plan((math.pi / 6,))
+        protocol._sweep_plan.cache_clear()
+        (after,) = protocol._sweep_plan((math.pi / 6,))
         assert after.outcome_buckets is not before.outcome_buckets
         np.testing.assert_array_equal(after.outcome_buckets, before.outcome_buckets)
         np.testing.assert_array_equal(after.eve_buckets, before.eve_buckets)
 
     def test_importing_the_package_builds_no_table(self):
         code = ("import scqkd, scqkd.cli, scqkd.protocol as p; "
-                "print(p.sampling_tables.cache_info().currsize)")
+                "print(p.sampling_tables.cache_info().currsize, "
+                "p._sweep_plan.cache_info().currsize)")
         src = str(Path(protocol.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout == "0\n"
+        assert done.stdout == "0 0\n"
 
     def test_degenerate_distribution_is_deterministic(self, draw_pair):
         codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, None, 100, np.random.default_rng(3))
@@ -340,13 +343,19 @@ class TestRoundView:
             assert rec.eve_result is None
 
     def test_attacked_d0_record_equals_itself_across_a_table_rebuild(self):
-        log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=23))
+        config = SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=23)
+        log = run_session(config)
         i = int(np.flatnonzero(log.sifted)[0])
         before = log.round(i)
         assert before.eve_result is not None
+        (bins,) = protocol._sweep_plan((config.upsilon,))
         sampling_tables.cache_clear()
-        assert log.round(i) == before
-        assert hash(log.round(i)) == hash(before)
+        protocol._sweep_plan.cache_clear()
+        # A fresh log is mapped through rebuilt tables, not the ones before the clear.
+        fresh = run_session(config)
+        assert fresh.round(i) == before
+        assert hash(fresh.round(i)) == hash(before)
+        assert protocol._sweep_plan((config.upsilon,))[0] is not bins
 
 
 class TestRunSession:
@@ -505,12 +514,10 @@ class TestSummary:
     def test_one_chunk_holds_about_one_word_array(self):
         # The chunk's (2**16, 4) words take 2 MiB; the mapping may add little more.
         config = SessionConfig(n_rounds=2**16, upsilon=math.pi / 6, seed=15)
-        tables = sampling_tables(config.upsilon)
         disclosed = np.zeros(config.n_rounds, dtype=bool)
 
         def kernel():
-            draws = protocol._draw_chunk(config.seed, 0, config.n_rounds)
-            return protocol._map_draws(tables, draws, disclosed)
+            return protocol._code_task(config)(0, disclosed)
         kernel()  # numpy imports numpy.random on the first draw; leave that untraced
         assert peak_traced_mb(kernel) <= 3.4
 
@@ -548,24 +555,32 @@ class TestSummary:
         # 130 made-up angles without Eve, each adding two outcome thresholds to
         # every row: their joint cells stay few, so the rows' length alone
         # splits the grid, after 127 angles (2 * 127 thresholds and 2**53).
+        # Every angle's binned histogram and per-round codes, mapped through
+        # its own uncached one-angle plan, must equal the exact compare's.
         rng = np.random.default_rng(20)
         fake = {}
         for angle in range(130):
             thresholds = np.sort(rng.integers(1, 2**53, (4, 4), dtype=np.uint64), axis=1)
             thresholds[:, 2] = thresholds[:, 1]  # an outcome that never happens
             thresholds[:, 3] = 2**53
-            fake[float(angle)] = protocol.SamplingTables(
-                thresholds, None, protocol._bucket_table(thresholds), None)
+            fake[angle / 100] = protocol.SamplingTables(thresholds, None)
         with mock.patch.object(protocol, "sampling_tables", fake.__getitem__):
             plan = protocol._sweep_plan.__wrapped__(tuple(fake))
         assert [bins.shape[2] for bins in plan] == [protocol._STRADDLES, 2 * 3 + 1]
         disclosed = rng.random(5_000) < 0.3
         counts = protocol._bin_chunk(plan, 21, 0, disclosed)
         histograms = np.concatenate([protocol._cells(b, c) for b, c in zip(plan, counts)])
-        draws = protocol._draw_chunk(21, 0, len(disclosed))
-        for tables, histogram in zip(fake.values(), histograms, strict=True):
-            codes = protocol._map_draws(tables, draws, disclosed)
-            np.testing.assert_array_equal(histogram, protocol._count_codes(codes))
+        words = protocol._philox_words(21, protocol.ROUND_STREAM, 0, len(disclosed))
+        pair = (words[:, 0] >> 63 << 1 | words[:, 1] >> 63).astype(np.uint8)
+        eve = np.full(len(pair), -1, np.int8)
+        with mock.patch.multiple(protocol, sampling_tables=fake.__getitem__,
+                                 _sweep_plan=protocol._sweep_plan.__wrapped__):
+            for (angle, tables), histogram in zip(fake.items(), histograms, strict=True):
+                outcome = protocol._count_thresholds(tables.outcome_thresholds, pair,
+                                                     words[:, 2] >> 11)
+                expected = protocol._encode(pair, outcome, eve, disclosed)
+                np.testing.assert_array_equal(histogram, protocol._count_codes(expected))
+                np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
 
 
 class TestDisclosure:
