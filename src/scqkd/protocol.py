@@ -16,16 +16,19 @@ cannot depend on the worker count used to compute it.
 Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
 of the session's histogram of row codes.  A ``SessionLog`` holds that
-histogram alone until a per-round column is first read; its per-round
-export maps the rounds again and renders them as they come.  Every
-session runs chunk by chunk on one thread pool, ``_map_chunks``, and
-``_draw_chunk`` draws a chunk's words and their bucket indexes.
+histogram alone until a per-round column is first read.  Outside the
+columns a round is only its row code: the key (``sift``), the D0 mask and
+the per-round export read the codes as they are mapped again, through
+128-entry tables decoded from the codes, and ``round(i)`` reads one
+record table.  Every session runs chunk by chunk on one thread pool,
+``_map_chunks``, and ``_draw_chunk`` draws a chunk's words and their
+bucket indexes.
 
 Sessions that differ only in upsilon share every draw, so
 ``summarize_sweep``, and so ``run_session``, bins each chunk once against
 a grid's merged thresholds (``_Bins``) and reads every angle's histogram
-out of the summed bin counts.  Per-round columns and exports read each
-round's row code from the same bins of its own angle: ``_joint`` gives the
+out of the summed bin counts.  Per-round row codes are read from the same
+bins of each round's own angle: ``_joint`` gives the
 round's bin, whether it is counted or mapped, and ``_row_table`` the row
 that ``_cells`` counts that bin in.  Every JSON and CSV artifact of the
 package is encoded here, by ``_canonical`` and ``_csv_line``.
@@ -53,7 +56,6 @@ from .randomness import (DISCLOSE_STREAM, ROUND_STREAM, _UINT64_MAX, _is_integer
 #: Choice encoding used by the columnar log (index into this tuple).
 CHOICES_BY_CODE = (Choice.ABSORB, Choice.REFLECT)
 _D0 = OUTCOME_ORDER.index(Outcome.D0)
-_EVE_ABSENT = -1
 
 #: A word's key k is its top 53 bits and its uniform is k * 2**-53.
 _UNIFORM_BITS = 53
@@ -244,24 +246,6 @@ def _count_thresholds(thresholds: np.ndarray, pair: np.ndarray, k: np.ndarray) -
     return (thresholds[pair] <= k[:, None]).sum(axis=1, dtype=np.uint8)
 
 
-#: Lowest and highest code of each log column; rows are rendered by code.
-_COLUMN_CODES = {
-    "alice": (0, 1),
-    "bob": (0, 1),
-    "outcome": (0, len(OUTCOME_ORDER) - 1),
-    "eve_result": (_EVE_ABSENT, len(EVE_OUTCOME_ORDER) - 1),
-    "disclosed": (0, 1),
-}
-
-
-def _count_codes(codes: np.ndarray) -> np.ndarray:
-    """Rounds per row code, a chunk at a time: ``bincount`` widens its input to intp."""
-    counts = np.zeros(_ROW_CODES, dtype=np.int64)
-    for lo in range(0, len(codes), SAMPLING_BLOCK):
-        counts += np.bincount(codes[lo:lo + SAMPLING_BLOCK], minlength=_ROW_CODES)
-    return counts
-
-
 class _Column:
     """A log column: mapped on first read, then read from the instance itself."""
 
@@ -278,17 +262,19 @@ class _Column:
 class SessionLog:
     """A whole session: its config and its histogram of row codes or its rounds.
 
-    Columns are rounds in order: choice codes (0 = Absorb, 1 = Reflect),
-    outcome codes (index into ``OUTCOME_ORDER``), Eve's measurement code
-    (-1 when absent) and the disclosure mask.  ``RoundRecord`` views are
-    materialized on demand so million-round sessions stay cheap.
+    ``SessionLog(config, codes)`` holds the rounds of ``codes``, one row
+    code per round, as five columns: choice codes (0 = Absorb,
+    1 = Reflect), outcome codes (index into ``OUTCOME_ORDER``), Eve's
+    measurement code (-1 when absent) and the disclosure mask.
 
     A log from ``run_session`` or ``summarize_sweep`` holds only its
-    read-only histogram until a column is read; the rounds are then mapped
-    again, chunk by chunk, into columns.  Once a log has columns they are
-    its record: the histogram is counted and the rows are rendered from
-    them, so an edit made in place shows in every view.  No attribute can
-    be reassigned.
+    read-only histogram.  Its bulk views, ``sift``, ``sifted`` and the
+    per-round export, read the row codes as ``_code_pieces`` maps them
+    again, chunk by chunk; only reading a column, directly or through
+    ``round(i)``, decodes the rounds into columns.  Once a log has columns
+    they are its record: every view reads the row codes they encode, so an
+    edit made in place shows in every view.  No attribute can be
+    reassigned.
     """
 
     alice = _Column()
@@ -297,18 +283,16 @@ class SessionLog:
     eve_result = _Column()
     disclosed = _Column()
 
-    def __init__(self, config: SessionConfig, alice: np.ndarray, bob: np.ndarray,
-                 outcome: np.ndarray, eve_result: np.ndarray, disclosed: np.ndarray) -> None:
-        columns = {"alice": alice, "bob": bob, "outcome": outcome, "eve_result": eve_result,
-                   "disclosed": disclosed}
-        n = config.n_rounds
-        for name, (lowest, highest) in _COLUMN_CODES.items():
-            col = columns[name]
-            if len(col) != n:
-                raise ValueError(f"column {name} has {len(col)} rows, config says {n}")
-            if col.min() < lowest or col.max() > highest:
-                raise ValueError(f"column {name} holds codes outside [{lowest}, {highest}]")
-        self.__dict__.update(columns, config=config, _histogram=None, _workers=1)
+    def __init__(self, config: SessionConfig, codes) -> None:
+        codes = np.asarray(codes)
+        if codes.shape != (config.n_rounds,):
+            raise ValueError(f"row codes have shape {codes.shape}, not ({config.n_rounds},)")
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"row codes must be integers, got dtype {codes.dtype}")
+        if codes.min() < 0 or codes.max() >= _ROW_CODES:
+            raise ValueError(f"row codes must lie in [0, {_ROW_CODES})")
+        self.__dict__.update(_decode(codes.astype(np.uint8)), config=config, _histogram=None,
+                             _workers=1)
 
     @classmethod
     def _of_histogram(cls, config: SessionConfig, histogram, workers: int) -> SessionLog:
@@ -332,9 +316,14 @@ class SessionLog:
         raise AttributeError(f"cannot delete {name!r}: a SessionLog's attributes are fixed")
 
     def _materialize(self) -> None:
-        """Map the rounds into the five columns, unless the log has them."""
-        if self._histogram is not None:
-            self.__dict__.update(_map_columns(self.config, self._workers), _histogram=None)
+        """Decode the rounds, mapped again chunk by chunk, into columns, unless already done."""
+        if self._histogram is None:
+            return
+        columns = {name: np.empty(len(self), column.dtype) for name, column in _ROWS.items()}
+        for lo, codes in _map_chunks(self.config, self._workers, _code_task(self.config)):
+            for name, column in _decode(codes).items():
+                columns[name][lo:lo + len(codes)] = column
+        self.__dict__.update(columns, _histogram=None)
 
     def __len__(self) -> int:
         return self.config.n_rounds
@@ -342,14 +331,14 @@ class SessionLog:
     @property
     def sifted(self) -> np.ndarray:
         """Mask of key-candidate rounds (exactly the D0 outcomes)."""
-        return self.outcome == _D0
+        return np.concatenate([_D0_ROW[codes] for _, codes in self._code_pieces()])
 
     @property
     def histogram(self) -> np.ndarray:
         """Rounds per row code: the log's own, or counted from the columns once they exist."""
         if self._histogram is not None:
             return self._histogram
-        return _count_codes(self._row_codes())
+        return sum(np.bincount(codes, minlength=_ROW_CODES) for _, codes in self._code_pieces())
 
     @property
     def counters(self) -> dict[tuple[str, str, str], int]:
@@ -358,33 +347,16 @@ class SessionLog:
         counts = self.histogram.reshape(HISTOGRAM_SHAPE).sum(axis=(3, 4)).ravel().tolist()
         return {(a.value, b.value, o.value): n for (a, b, o), n in zip(cells, counts)}
 
-    def _row_codes(self) -> np.ndarray:
-        """Every round's row code."""
-        pair = self.alice.astype(np.uint8) * 2 + self.bob.astype(np.uint8, copy=False)
-        return _encode(pair, self.outcome, self.eve_result, self.disclosed)
-
     def round(self, i: int) -> RoundRecord:
         """Materialize the full record of round ``i``, an integer in ``[0, len(self))``."""
         if not _is_integer(i):
             raise TypeError(f"round index must be an integer, got {i!r}")
         if not 0 <= i < len(self):
             raise IndexError(f"round {i} is outside [0, {len(self)})")
-        outcome = OUTCOME_ORDER[self.outcome[i]]
-        announced = Announcement.D0 if outcome is Outcome.D0 else Announcement.NOT_D0
-        eve_result = None
-        if self.config.attack_active and outcome is Outcome.D0:
-            code = int(self.eve_result[i])
-            eve_result = EVE_OUTCOME_ORDER[code] if code >= 0 else None
-        return RoundRecord(
-            round_id=int(i),
-            alice_choice=CHOICES_BY_CODE[self.alice[i]],
-            bob_choice=CHOICES_BY_CODE[self.bob[i]],
-            outcome=outcome,
-            announced=announced,
-            eve_result=eve_result,
-            sifted=outcome is Outcome.D0,
-            disclosed_for_check=bool(self.disclosed[i]),
-        )
+        fields = _records(self.config.attack_active)[
+            self.alice[i], self.bob[i], self.outcome[i], self.eve_result[i] + 1,
+            int(self.disclosed[i])]  # a bool index would be a mask
+        return RoundRecord(int(i), *fields)
 
     def iter_rounds(self):
         for i in range(len(self)):
@@ -392,8 +364,11 @@ class SessionLog:
 
     def _code_pieces(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first round id, row codes) per ``_PIECE_ROWS`` rounds: from the columns, or mapped."""
-        chunks = ([(0, self._row_codes())] if self._histogram is None else
-                  _map_chunks(self.config, self._workers, _code_task(self.config)))
+        if self._histogram is None:
+            pair = self.alice.astype(np.uint8) * 2 + self.bob.astype(np.uint8, copy=False)
+            chunks = [(0, _encode(pair, self.outcome, self.eve_result, self.disclosed))]
+        else:
+            chunks = _map_chunks(self.config, self._workers, _code_task(self.config))
         for lo, codes in chunks:
             for start in range(0, len(codes), _PIECE_ROWS):
                 yield lo + start, codes[start:start + _PIECE_ROWS]
@@ -407,7 +382,7 @@ class SessionLog:
         made once per ten rounds and empty below 10, then the last digit,
         which the tail table folds into the tail.
         """
-        heads, tails = _row_templates(self.config.upsilon, fmt)
+        heads, tails = _row_templates(self.config.attack_active, fmt)
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
             yield self.to_json()[:-2] + ',"rounds":['
@@ -474,23 +449,19 @@ _ROW_FORMATS = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=4)
+def _row_templates(attack: bool, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Heads and tails of the rows in ``fmt``: ``heads[code]`` and ``tails[digit, code]``.
 
     A row is its code's head, its round id and its code's tail; the tail
     table starts each tail with the round id's last digit.  Each code's row
-    is rendered once, from the record ``SessionLog.round`` gives for it,
-    with a marker in place of the round id.
+    is rendered once, from its record in ``_records(attack)``, with a
+    marker for its round id.
     """
-    log = SessionLog(
-        config=SessionConfig(n_rounds=_ROW_CODES, upsilon=upsilon),
-        **_decode(np.arange(_ROW_CODES, dtype=np.uint8)),
-    )
     render = _ROW_FORMATS[fmt]
     split = [
         render({
-            "round_id": _ROUND_ID_MARK,
+            "round_id": rec.round_id,
             "alice": rec.alice_choice.value,
             "bob": rec.bob_choice.value,
             "outcome": rec.outcome.value,
@@ -499,7 +470,7 @@ def _row_templates(upsilon: float | None, fmt: str) -> tuple[np.ndarray, np.ndar
             "sifted": rec.sifted,
             "disclosed": rec.disclosed_for_check,
         }).partition(str(_ROUND_ID_MARK))
-        for rec in log.iter_rounds()
+        for rec in (RoundRecord(_ROUND_ID_MARK, *fields) for fields in _records(attack).flat)
     ]
     heads = np.array([head for head, _, _ in split], dtype=object)
     tails = np.array([[str(digit) + tail for _, _, tail in split] for digit in range(10)],
@@ -533,6 +504,39 @@ def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
         "eve_result": (codes >> 1 & 3).view(np.int8) - 1,
         "disclosed": (codes & 1).view(bool),
     }
+
+
+#: Each row code's five column values, indexed by the code.
+_ROWS = _decode(np.arange(_ROW_CODES, dtype=np.uint8))
+#: Per row code: D0, a key round (D0 and not disclosed), Bob's bit and Eve's
+#: guess of the bit, -1 when she has none.  Alice's bit is her choice code.
+_D0_ROW = _ROWS["outcome"] == _D0
+_KEY_ROW = _D0_ROW & ~_ROWS["disclosed"]
+_BOB_BIT = 1 - _ROWS["bob"]
+# Plus (code 0) puts the photon in the external arm: Alice absorbed, bit 0.
+# Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.
+_EVE_GUESS = np.where(_ROWS["eve_result"] <= 1, _ROWS["eve_result"], -1).astype(np.int8)
+
+
+@functools.lru_cache(maxsize=2)
+def _records(attack: bool) -> np.ndarray:
+    """Each row code's ``RoundRecord`` fields after the round id, indexed by its column values.
+
+    An object array of tuples shaped ``HISTOGRAM_SHAPE``, whose flat order
+    is the codes'; ``RoundRecord(i, *fields)`` is a round's record.  Eve's
+    result shows only on the D0 rounds of an attacked session.
+    """
+    records = np.empty(_ROW_CODES, dtype=object)
+    for code, (alice, bob, outcome, eve, disclosed) in enumerate(
+            zip(*(column.tolist() for column in _ROWS.values()))):
+        d0 = outcome == _D0
+        records[code] = (CHOICES_BY_CODE[alice], CHOICES_BY_CODE[bob], OUTCOME_ORDER[outcome],
+                         Announcement.D0 if d0 else Announcement.NOT_D0,
+                         EVE_OUTCOME_ORDER[eve] if attack and d0 and eve >= 0 else None, d0,
+                         disclosed)
+    records = records.reshape(HISTOGRAM_SHAPE)
+    records.flags.writeable = False  # shared by every caller through the cache
+    return records
 
 
 def _draw_chunk(seed: int, lo: int, n: int) -> tuple:
@@ -715,7 +719,8 @@ def _map_chunks(config: SessionConfig, workers: int, task):
     chunk at a time, while the workers count earlier chunks.  At most two
     chunks per worker are in flight, so memory does not grow with the
     session.  Worker threads call only numpy and private helpers, never a
-    public function.
+    public function, and share no output: each task returns its result,
+    and the caller reads the results in order on its own thread.
     """
     n, check_fraction = config.n_rounds, config.check_fraction
     disclose = philox_stream(config.seed, DISCLOSE_STREAM)
@@ -752,31 +757,15 @@ def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[S
     return [SessionLog._of_histogram(c, h, workers) for c, h in zip(configs, histograms)]
 
 
-def _map_columns(config: SessionConfig, workers: int) -> dict[str, np.ndarray]:
-    """The session's five log columns, each chunk decoded into place."""
-    empty = _decode(np.empty(0, dtype=np.uint8))  # the dtype of each column
-    columns = {name: np.empty(config.n_rounds, col.dtype) for name, col in empty.items()}
-    codes_of = _code_task(config)
-
-    def write(lo: int, disclosed: np.ndarray) -> None:
-        lo, codes = codes_of(lo, disclosed)
-        for name, column in _decode(codes).items():
-            columns[name][lo:lo + len(codes)] = column
-
-    for _ in _map_chunks(config, workers, write):
-        pass
-    return columns
-
-
 def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
     """Simulate ``config.n_rounds`` independent rounds: ``summarize_sweep`` at its own angle.
 
     Round i's uniforms are counter step i of the (seed, round-stream)
     generator and its disclosure uniform is double i of the (seed,
     disclose-stream) generator, so any worker count gives the same log.
-    Only the histogram is counted here.  The columns are mapped when one is
-    first read, and a per-round export maps the rounds again as it renders
-    them, so neither a report nor an export holds a column.
+    Only the histogram is counted here.  ``sift``, ``sifted`` and a
+    per-round export map the rounds again as they read them, so none of
+    them holds a column; the columns are decoded when one is first read.
     """
     return summarize_sweep(config, [config.upsilon], workers)[0]
 
@@ -833,11 +822,6 @@ def sift(log: SessionLog) -> SiftedKey:
     Alice's bit is 1 when she reflected; Bob's bit is 1 when he absorbed.
     D0 then implies equal bits whenever the choices were anti-correlated.
     """
-    keep = log.sifted & ~log.disclosed
-    alice_bits = log.alice[keep].astype(np.uint8)  # Reflect code is already bit 1
-    bob_bits = (1 - log.bob[keep]).astype(np.uint8)
-    # Plus (code 0) puts the photon in the external arm: Alice absorbed, bit 0.
-    # Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.
-    codes = log.eve_result[keep]
-    guesses = np.where(codes <= 1, codes, -1).astype(np.int8)  # Inconclusive: no guess
-    return SiftedKey(alice_bits=alice_bits, bob_bits=bob_bits, eve_guesses=guesses)
+    kept = np.concatenate([codes[_KEY_ROW[codes]] for _, codes in log._code_pieces()])
+    return SiftedKey(alice_bits=_ROWS["alice"][kept], bob_bits=_BOB_BIT[kept],
+                     eve_guesses=_EVE_GUESS[kept])

@@ -78,7 +78,9 @@ def solve_threshold(tolerance: float = 1e-9) -> tuple[float, float]:
 
     Bisection on [0.5, 0.9], where the key rate is negative at the left
     end and positive at the right; iterates until the residual is within
-    ``tolerance``.  Returns (v_star, epsilon_star).
+    ``tolerance``.  Returns (v_star, epsilon_star).  When the bracket
+    shrinks to two adjacent doubles first, no double has a residual within
+    ``tolerance``, and a ``ValueError`` names the least residual reached.
     """
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -87,16 +89,18 @@ def solve_threshold(tolerance: float = 1e-9) -> tuple[float, float]:
     if f_lo > 0.0 or f_hi < 0.0:
         # Cannot happen for this fixed function; guard retained.
         raise ArithmeticError(f"bisection bracket lost: f({lo})={f_lo}, f({hi})={f_hi}")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
+    least = math.inf
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = key_rate(mid)
         if abs(f_mid) <= tolerance:
             return mid, epsilon_of_visibility(mid)
+        least = min(least, abs(f_mid))
         if f_mid > 0.0:
             hi = mid
         else:
             lo = mid
-    raise ArithmeticError(f"bisection did not reach |residual| <= {tolerance}")
+    raise ValueError(f"tolerance {tolerance} is below the least residual the bisection "
+                     f"reaches, {least:.3g}")
 
 
 @dataclass(frozen=True)

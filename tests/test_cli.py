@@ -318,6 +318,13 @@ class TestConfigHandling:
         assert run_cli("threshold", "--tolerance", "nan") == 2
         assert "tolerance must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["1e-16", "1e-20"])
+    def test_unreachable_tolerance_is_a_config_error(self, capsys, tolerance):
+        assert run_cli("threshold", "--tolerance", tolerance) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: tolerance {float(tolerance)} is below the least "
+                       "residual the bisection reaches, 1.11e-16\n")
+
 
 #: The flags each command accepts besides --config, as listed in the README.
 COMMAND_FLAGS = {

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scqkd import protocol
 from scqkd.core import (
     OUTCOME_ORDER,
     Choice,
@@ -61,16 +62,15 @@ class TestEveMeasure:
 def attacked_log(rounds):
     """An attacked log of undisclosed (alice, bob, outcome, Eve's result or None) rounds."""
     n = len(rounds)
-    return SessionLog(
-        config=SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0),
-        alice=np.array([CHOICES_BY_CODE.index(r[0]) for r in rounds], dtype=np.uint8),
-        bob=np.array([CHOICES_BY_CODE.index(r[1]) for r in rounds], dtype=np.uint8),
-        outcome=np.array([OUTCOME_ORDER.index(r[2]) for r in rounds], dtype=np.uint8),
-        eve_result=np.array(
-            [-1 if r[3] is None else EVE_OUTCOME_ORDER.index(r[3]) for r in rounds], dtype=np.int8
-        ),
-        disclosed=np.zeros(n, dtype=bool),
+    codes = protocol._encode(
+        np.array([2 * CHOICES_BY_CODE.index(r[0]) + CHOICES_BY_CODE.index(r[1]) for r in rounds],
+                 dtype=np.uint8),
+        np.array([OUTCOME_ORDER.index(r[2]) for r in rounds], dtype=np.uint8),
+        np.array([-1 if r[3] is None else EVE_OUTCOME_ORDER.index(r[3]) for r in rounds],
+                 dtype=np.int8),
+        np.zeros(n, dtype=bool),
     )
+    return SessionLog(SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0), codes)
 
 
 class TestEveGuess:

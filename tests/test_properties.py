@@ -130,6 +130,45 @@ def test_the_streamed_export_equals_the_column_export(n, upsilon, seed, check_fr
         assert streamed == "".join(with_columns(log)._document(fmt))
 
 
+def key_arrays(log) -> list[np.ndarray]:
+    key = sift(log)
+    return [key.alice_bits, key.bob_bits, key.eve_guesses]
+
+
+def assert_same_arrays(actual, expected) -> None:
+    for a, e in zip(actual, expected, strict=True):
+        np.testing.assert_array_equal(a, e)
+        assert a.dtype == e.dtype
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=configs, block=st.integers(1, 2_000), piece=st.integers(1, 50),
+       workers=st.integers(1, 2))
+def test_bulk_views_leave_a_log_unmapped_and_agree_with_its_columns(config, block, piece,
+                                                                   workers):
+    with mock.patch.object(protocol, "SAMPLING_BLOCK", block), \
+            mock.patch.object(protocol, "_PIECE_ROWS", piece):
+        log = run_session(config, workers=workers)
+        views = [*key_arrays(log), log.sifted, log.histogram]
+        csv = log.to_csv()
+        assert "outcome" not in log.__dict__
+        mapped = with_columns(run_session(config, workers=workers))
+        assert_same_arrays(views, [*key_arrays(mapped), mapped.sifted, mapped.histogram])
+        assert csv == mapped.to_csv()
+
+        # An edit made in place turns round 0 into a key round, or out of one.
+        was_key = mapped.outcome[0] == D0 and not mapped.disclosed[0]
+        mapped.outcome[0] = D1 if was_key else D0
+        mapped.disclosed[0] = False
+        assert len(sift(mapped)) == len(views[0]) + (-1 if was_key else 1)
+        d0 = mapped.outcome == D0
+        keep = d0 & ~mapped.disclosed
+        eve = mapped.eve_result[keep]
+        assert_same_arrays([*key_arrays(mapped), mapped.sifted], [
+            mapped.alice[keep], 1 - mapped.bob[keep],
+            np.where(eve <= 1, eve, -1).astype(np.int8), d0])
+
+
 # Few distinct values, so grids often repeat an angle; the ends 0 and pi/2 drawn often.
 grid_angles = st.sampled_from([0.0, math.pi / 2, math.pi / 6]) | st.floats(0.0, math.pi / 2)
 

@@ -57,18 +57,14 @@ def scalar_draw(probabilities, u: float) -> int:
 
 def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
     n = len(alice)
-    return SessionLog(
-        config=SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0),
-        alice=np.asarray(alice, dtype=np.uint8),
-        bob=np.asarray(bob, dtype=np.uint8),
-        outcome=np.asarray(outcome, dtype=np.uint8),
-        eve_result=np.asarray(
-            eve if eve is not None else [-1] * n, dtype=np.int8
-        ),
-        disclosed=np.asarray(
-            disclosed if disclosed is not None else [False] * n, dtype=bool
-        ),
+    codes = protocol._encode(
+        np.asarray(alice, dtype=np.uint8) * 2 + np.asarray(bob, dtype=np.uint8),
+        np.asarray(outcome, dtype=np.uint8),
+        np.asarray(eve if eve is not None else [-1] * n, dtype=np.int8),
+        np.asarray(disclosed if disclosed is not None else [False] * n, dtype=bool),
     )
+    return SessionLog(SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0),
+                      codes)
 
 
 class TestSessionConfig:
@@ -130,39 +126,47 @@ class TestSessionConfig:
 
 
 class TestSessionLogColumns:
-    @staticmethod
-    def columns(n=2):
-        return {
-            "alice": np.zeros(n, np.uint8), "bob": np.ones(n, np.uint8),
-            "outcome": np.zeros(n, np.uint8), "eve_result": np.full(n, -1, np.int8),
-            "disclosed": np.zeros(n, np.uint8),
-        }
+    #: Absorb/Reflect, D0, no Eve result, not disclosed.
+    CODE = int(protocol._encode(np.ones(1, np.uint8), np.zeros(1, np.uint8),
+                                np.full(1, -1, np.int8), np.zeros(1, bool))[0])
 
-    def test_wrong_length_rejected_by_name(self):
-        columns = dict(self.columns(), bob=np.zeros(1, np.uint8))
-        with pytest.raises(ValueError, match="column bob has 1 rows"):
-            SessionLog(config=SessionConfig(n_rounds=2), **columns)
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_wrong_length_rejected_by_name(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"row codes have shape {shape}")):
+            SessionLog(SessionConfig(n_rounds=2), np.full(shape, self.CODE, np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool, object])
+    def test_non_integer_codes_rejected_by_name(self, dtype):
+        with pytest.raises(ValueError, match="row codes must be integers"):
+            SessionLog(SessionConfig(n_rounds=2), np.zeros(2, dtype))
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("alice", 2), ("bob", 2), ("outcome", 4), ("eve_result", 3), ("eve_result", -2),
-         ("disclosed", 2)],
+        "dtype, value",
+        [(np.int8, -1), (np.int16, 128), (np.int16, 255), (np.uint16, 2**16 - 1),
+         (np.int64, -2**40), (np.uint64, 2**64 - 1)],
     )
-    def test_out_of_range_codes_rejected_by_name(self, name, value):
-        columns = self.columns()
-        columns[name][0] = value
-        with pytest.raises(ValueError, match=f"column {name} holds codes"):
-            SessionLog(config=SessionConfig(n_rounds=2), **columns)
+    def test_out_of_range_codes_rejected_by_name(self, dtype, value):
+        codes = np.array([self.CODE, value], dtype)
+        with pytest.raises(ValueError, match=r"row codes must lie in \[0, 128\)"):
+            SessionLog(SessionConfig(n_rounds=2), codes)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
+    def test_any_integer_dtype_of_codes_gives_the_same_columns(self, dtype):
+        codes = np.arange(protocol._ROW_CODES)
+        expected = protocol._decode(codes.astype(np.uint8))
+        log = SessionLog(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
+        for name, column in expected.items():
+            np.testing.assert_array_equal(getattr(log, name), column)
+            assert getattr(log, name).dtype == column.dtype
 
     def test_columns_are_edited_in_place_but_never_reassigned(self):
-        columns = self.columns()
-        log = SessionLog(config=SessionConfig(n_rounds=2), **columns)
+        log = SessionLog(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
         log.outcome[1] = OUTCOME_ORDER.index(Outcome.D1)
         assert log.counters[("Absorb", "Reflect", "D0")] == 1
         assert log.counters[("Absorb", "Reflect", "D1")] == 1
-        for name, column in columns.items():
+        for name in ("alice", "bob", "outcome", "eve_result", "disclosed"):
             with pytest.raises(AttributeError, match="fixed"):
-                setattr(log, name, column)
+                setattr(log, name, getattr(log, name).copy())
         with pytest.raises(AttributeError, match="fixed"):
             log.config = SessionConfig(n_rounds=3)
 
@@ -242,7 +246,7 @@ class TestSampler:
                 expected = protocol._encode(pair, outcome, eve, disclosed)
                 np.testing.assert_array_equal(mapped_codes(upsilon, words, disclosed), expected)
                 # The binned histogram, every (pair, outcome, Eve, disclosed) cell of it.
-                np.testing.assert_array_equal(histogram, protocol._count_codes(expected))
+                np.testing.assert_array_equal(histogram, np.bincount(expected, minlength=128))
 
     def test_bucket_tables_are_small_read_only_and_rebuilt_with_the_cache(self):
         # A plan's merged bucket tables: one byte per pair code and bucket.
@@ -265,13 +269,13 @@ class TestSampler:
         np.testing.assert_array_equal(after.eve_buckets, before.eve_buckets)
 
     def test_importing_the_package_builds_no_table(self):
+        caches = ("sampling_tables", "_sweep_plan", "_records", "_row_templates")
         code = ("import scqkd, scqkd.cli, scqkd.protocol as p; "
-                "print(p.sampling_tables.cache_info().currsize, "
-                "p._sweep_plan.cache_info().currsize)")
+                f"print(*(getattr(p, name).cache_info().currsize for name in {caches}))")
         src = str(Path(protocol.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout == "0 0\n"
+        assert done.stdout == "0 0 0 0\n"
 
     def test_degenerate_distribution_is_deterministic(self, draw_pair):
         codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, None, 100, np.random.default_rng(3))
@@ -579,7 +583,7 @@ class TestSummary:
                 outcome = protocol._count_thresholds(tables.outcome_thresholds, pair,
                                                      words[:, 2] >> 11)
                 expected = protocol._encode(pair, outcome, eve, disclosed)
-                np.testing.assert_array_equal(histogram, protocol._count_codes(expected))
+                np.testing.assert_array_equal(histogram, np.bincount(expected, minlength=128))
                 np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
 
 
@@ -662,6 +666,14 @@ class TestSift:
         key = sift(log)
         assert (key.eve_guesses == -1).all()
 
+    def test_memory_is_flat_in_the_session(self):
+        # Only the key rounds' codes outlive a chunk: a 4 * 10**6-round log's
+        # five columns alone would take 19 MiB.
+        log = run_session(SessionConfig(n_rounds=4_000_000, upsilon=math.pi / 6, seed=84))
+        sift(run_session(SessionConfig(n_rounds=10)))  # numpy's lazy imports, untraced
+        assert peak_traced_mb(lambda: sift(log)) < 6
+        assert "outcome" not in vars(log)
+
     def test_empty_key_rejects_rates(self):
         log = manual_log(alice=[1], bob=[1], outcome=[1])
         key = sift(log)
@@ -714,6 +726,16 @@ class TestSerialization:
         for rec in log.iter_rounds():
             expected = Announcement.D0 if rec.outcome is Outcome.D0 else Announcement.NOT_D0
             assert rec.announced is expected
+
+
+    def test_row_templates_are_cached_per_attack_flag_and_format(self):
+        protocol._row_templates.cache_clear()
+        for upsilon in (None, 0.0, math.pi / 6, math.pi / 2):
+            log = run_session(SessionConfig(n_rounds=30, upsilon=upsilon, seed=8))
+            log.to_json(include_rounds=True)
+            log.to_csv()
+        assert protocol._row_templates.cache_info().currsize <= 4
+        assert protocol._records.cache_info().currsize <= 2
 
 
 class TestEncoders:

@@ -146,14 +146,8 @@ def test_sessions_cover_every_reachable_row(sessions):
 def test_any_columns_render_like_the_reference(n, upsilon, seed):
     """Uniformly random codes, reachable or not, as a hand-built log may hold."""
     rng = np.random.default_rng(seed)
-    log = SessionLog(
-        config=SessionConfig(n, upsilon=upsilon),
-        alice=rng.integers(0, 2, n, dtype=np.uint8),
-        bob=rng.integers(0, 2, n, dtype=np.uint8),
-        outcome=rng.integers(0, 4, n, dtype=np.uint8),
-        eve_result=rng.integers(-1, 3, n, dtype=np.int8),
-        disclosed=rng.random(n) < 0.5,
-    )
+    log = SessionLog(SessionConfig(n, upsilon=upsilon),
+                     rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
     assert_rows_match_reference(log)
 
 

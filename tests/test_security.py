@@ -143,6 +143,14 @@ class TestThreshold:
         with pytest.raises(ValueError, match="tolerance"):
             solve_threshold(tolerance)
 
+    @pytest.mark.parametrize("tolerance", [1e-16, 1e-17, 5e-324])
+    def test_tolerance_below_every_double_residual_names_the_least_one(self, tolerance):
+        # The bracket shrinks to two adjacent doubles; neither is a root to 1e-16.
+        with pytest.raises(ValueError, match=r"below the least residual .*, 1\.11e-16$"):
+            solve_threshold(tolerance)
+        v_star, _ = solve_threshold(1.2e-16)  # that least residual is reached
+        assert abs(key_rate(v_star)) <= 1.2e-16
+
 
 class TestEstimateFromSession:
     def test_ideal_session_has_unit_visibility_and_no_errors(self):
