@@ -28,10 +28,10 @@ Sessions that differ only in upsilon share every draw, so
 ``summarize_sweep``, and so ``run_session``, bins each chunk once against
 a grid's merged thresholds (``_Bins``) and reads every angle's histogram
 out of the summed bin counts.  Per-round row codes are read from the same
-bins of each round's own angle: ``_joint`` gives the
-round's bin, whether it is counted or mapped, and ``_row_table`` the row
-that ``_cells`` counts that bin in.  Every JSON and CSV artifact of the
-package is encoded here, by ``_canonical`` and ``_csv_line``.
+bins of each round's own angle: ``_joint`` gives the round's bin, whether
+it is counted or mapped, and ``_row_table`` the row that ``_cells`` counts
+that bin in.  Every JSON and CSV artifact of the package is encoded here,
+by ``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from scqkd.core import (
     build_povm,
     terminal_distribution,
 )
+from scqkd.eve import EVE_OUTCOME_ORDER
 from scqkd.protocol import (
     CHOICES_BY_CODE,
     Announcement,
@@ -340,6 +341,17 @@ class TestRoundView:
             else:
                 assert rec.eve_result is None
         assert seen_d0
+
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
+    def test_eve_result_shows_only_on_an_attacked_sessions_d0_rounds(self, upsilon):
+        # Every row code once, Eve's results on rounds of every outcome included.
+        log = SessionLog(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
+        rows = json.loads(log.to_json(include_rounds=True))["rounds"]
+        for code, rec, row in zip(range(128), log.iter_rounds(), rows, strict=True):
+            eve = (code >> 1 & 3) - 1
+            shown = log.config.attack_active and rec.outcome is Outcome.D0 and eve >= 0
+            assert rec.eve_result is (EVE_OUTCOME_ORDER[eve] if shown else None), code
+            assert row["eve_result"] == (rec.eve_result.value if shown else None), code
 
     def test_no_eve_round_carries_no_probe(self):
         log = run_session(SessionConfig(n_rounds=100, seed=31))
