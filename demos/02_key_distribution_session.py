@@ -14,18 +14,23 @@ from scqkd import (
     run_session,
     sift,
 )
+from scqkd.protocol import HISTOGRAM_SHAPE
 
 
 def main():
     config = SessionConfig(n_rounds=200_000, seed=202408, check_fraction=0.1)
     log = run_session(config)
 
-    print(f"Simulated {config.n_rounds} rounds (seed {config.seed}).")
-    print(f"D0 rounds: {int(log.sifted.sum())} "
-          f"(efficiency {log.sifted.mean():.4f}, ideal 1/8 = 0.125)")
-    print(f"Disclosed for checking: {int(log.disclosed.sum())}")
-
+    # These counts read the session's histogram of row codes, whose last axis
+    # is the disclosure flag, so no round is mapped again.
     counters = log.counters
+    d0_rounds = sum(n for (_, _, outcome), n in counters.items() if outcome == "D0")
+    print(f"Simulated {config.n_rounds} rounds (seed {config.seed}).")
+    print(f"D0 rounds: {d0_rounds} "
+          f"(efficiency {d0_rounds / config.n_rounds:.4f}, ideal 1/8 = 0.125)")
+    disclosed = log.histogram.reshape(HISTOGRAM_SHAPE)[..., 1].sum()
+    print(f"Disclosed for checking: {disclosed}")
+
     print("\nPer-cell counts (choice pair -> detector events):")
     for a in ("Absorb", "Reflect"):
         for b in ("Absorb", "Reflect"):

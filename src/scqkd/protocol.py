@@ -17,21 +17,22 @@ Every round is one of 128 row codes, ((((alice * 2 + bob) * 4 + outcome)
 * 4 + eve + 1) * 2 + disclosed), and every reported number is a function
 of the session's histogram of row codes.  A ``SessionLog`` holds that
 histogram alone until a per-round column is first read.  Outside the
-columns a round is only its row code: the key (``sift``), the D0 mask and
-the per-round export read the codes as they are mapped again, through
-128-entry tables decoded from the codes, and ``round(i)`` reads one
-record table.  Every session runs chunk by chunk on one thread pool,
-``_map_chunks``, and ``_draw_chunk`` draws a chunk's words and their
-bucket indexes.
+columns a round is only its row code: the key (``sift``) and the per-round
+export read the codes as they are mapped again, through 128-entry tables
+decoded from the codes, and ``round(i)`` reads one record table.  Every
+session runs chunk by chunk on one thread pool, ``_map_chunks``, and
+``_draw_chunk`` draws a chunk's words and their bucket indexes.
 
 Sessions that differ only in upsilon share every draw, so
 ``summarize_sweep``, and so ``run_session``, bins each chunk once against
 a grid's merged thresholds (``_Bins``) and reads every angle's histogram
-out of the summed bin counts.  Per-round row codes are read from the same
-bins of each round's own angle: ``_joint`` gives the round's bin, whether
-it is counted or mapped, and ``_row_table`` the row that ``_cells`` counts
-that bin in.  Every JSON and CSV artifact of the package is encoded here,
-by ``_canonical`` and ``_csv_line``.
+out of the summed bin counts.  ``_sweep_plan`` is the one cache of the
+sampler's law: it merges each angle's ``_thresholds`` as it is built.
+Per-round row codes are read from the same bins of each round's own
+angle: ``_joint`` gives the round's bin, whether it is counted or mapped,
+and ``_row_table`` the row that ``_cells`` counts that bin in.  Every JSON
+and CSV artifact of the package is encoded here, by ``_canonical`` and
+``_csv_line``.
 """
 
 from __future__ import annotations
@@ -134,25 +135,6 @@ class RoundRecord:
     disclosed_for_check: bool
 
 
-@dataclass(frozen=True)
-class SamplingTables:
-    """The integer law every round at one probe angle is drawn from.
-
-    Rows are indexed by the pair code ``2 * alice + bob`` in
-    ``CHOICES_BY_CODE`` codes.  Column j of ``outcome_thresholds[pair]`` is
-    ceil(c * 2**53), where c is the probability of outcomes 0 to j of
-    ``OUTCOME_ORDER``; ``eve_thresholds[pair]`` is the same over
-    ``EVE_OUTCOME_ORDER`` for Eve's POVM on that pair's D0 probe (zeros when
-    D0 is impossible; the table is None without an attack).  A uniform
-    k * 2**-53 is at or above c exactly when k is at or above ceil(c * 2**53),
-    so a round's code, the number of its row's thresholds at or below k, is
-    j with probability (T[j] - T[j - 1]) * 2**-53, where T[-1] = 0.
-    """
-
-    outcome_thresholds: np.ndarray
-    eve_thresholds: np.ndarray | None
-
-
 #: A bucket is a pair code and the top 10 bits of a key, which are its word's
 #: top 10: 4 * 1024 one-byte entries per table, each covering 2**43 keys.  At
 #: 12 bits a 33-angle grid's tables took 1.1 MB, not 0.26, and mapped no faster.
@@ -175,9 +157,20 @@ def _cumulative(probabilities) -> np.ndarray:
     return cum
 
 
-@functools.lru_cache(maxsize=64)
-def sampling_tables(upsilon: float | None) -> SamplingTables:
-    """Build (once per angle) the tables every sampled round is drawn from."""
+def _thresholds(upsilon: float | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The integer law every round at one probe angle is drawn from: (outcome, Eve) thresholds.
+
+    Rows are indexed by the pair code ``2 * alice + bob`` in
+    ``CHOICES_BY_CODE`` codes.  Column j of the outcome table's row is
+    ceil(c * 2**53), where c is the probability of outcomes 0 to j of
+    ``OUTCOME_ORDER``; the Eve table's row is the same over
+    ``EVE_OUTCOME_ORDER`` for Eve's POVM on that pair's D0 probe (zeros when
+    D0 is impossible; the table is None without an attack).  A uniform
+    k * 2**-53 is at or above c exactly when k is at or above ceil(c * 2**53),
+    so a round's code, the number of its row's thresholds at or below k, is
+    j with probability (T[j] - T[j - 1]) * 2**-53, where T[-1] = 0.
+    ``_sweep_plan`` reads them once per angle as it builds its bins.
+    """
     povm = build_povm(upsilon) if upsilon is not None and upsilon > 0.0 else None
     outcome_cdf = np.empty((4, len(OUTCOME_ORDER)))
     eve_cdf = np.zeros((4, len(EVE_OUTCOME_ORDER))) if povm is not None else None
@@ -190,14 +183,8 @@ def sampling_tables(upsilon: float | None) -> SamplingTables:
         if povm is not None and probe is not None:
             eve_cdf[pair] = _cumulative(povm.outcome_probabilities(probe))
     # Exact: scaling by 2**53 and taking the ceiling do not round.
-    outcome_thresholds, eve_thresholds = (
-        None if cdf is None else np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
-        for cdf in (outcome_cdf, eve_cdf)
-    )
-    for array in (outcome_thresholds, eve_thresholds):
-        if array is not None:
-            array.flags.writeable = False  # shared by every caller through the cache
-    return SamplingTables(outcome_thresholds, eve_thresholds)
+    return tuple(None if cdf is None else np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
+                 for cdf in (outcome_cdf, eve_cdf))
 
 
 def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
@@ -268,8 +255,8 @@ class SessionLog:
     measurement code (-1 when absent) and the disclosure mask.
 
     A log from ``run_session`` or ``summarize_sweep`` holds only its
-    read-only histogram.  Its bulk views, ``sift``, ``sifted`` and the
-    per-round export, read the row codes as ``_code_pieces`` maps them
+    read-only histogram.  Its bulk views, ``sift`` and the per-round
+    export, read the row codes as ``_code_pieces`` maps them
     again, chunk by chunk; only reading a column, directly or through
     ``round(i)``, decodes the rounds into columns.  Once a log has columns
     they are its record: every view reads the row codes they encode, so an
@@ -329,11 +316,6 @@ class SessionLog:
         return self.config.n_rounds
 
     @property
-    def sifted(self) -> np.ndarray:
-        """Mask of key-candidate rounds (exactly the D0 outcomes)."""
-        return np.concatenate([_D0_ROW[codes] for _, codes in self._code_pieces()])
-
-    @property
     def histogram(self) -> np.ndarray:
         """Rounds per row code: the log's own, or counted from the columns once they exist."""
         if self._histogram is not None:
@@ -357,10 +339,6 @@ class SessionLog:
             self.alice[i], self.bob[i], self.outcome[i], self.eve_result[i] + 1,
             int(self.disclosed[i])]  # a bool index would be a mask
         return RoundRecord(int(i), *fields)
-
-    def iter_rounds(self):
-        for i in range(len(self)):
-            yield self.round(i)
 
     def _code_pieces(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first round id, row codes) per ``_PIECE_ROWS`` rounds: from the columns, or mapped."""
@@ -508,14 +486,15 @@ def _decode(codes: np.ndarray) -> dict[str, np.ndarray]:
 
 #: Each row code's five column values, indexed by the code.
 _ROWS = _decode(np.arange(_ROW_CODES, dtype=np.uint8))
-#: Per row code: D0, a key round (D0 and not disclosed), Bob's bit and Eve's
-#: guess of the bit, -1 when she has none.  Alice's bit is her choice code.
-_D0_ROW = _ROWS["outcome"] == _D0
-_KEY_ROW = _D0_ROW & ~_ROWS["disclosed"]
+#: Per row code: a key round (D0 and not disclosed), Bob's bit and, per
+#: attack flag, Eve's guess of the bit, -1 when she has none.  Alice's bit is
+#: her choice code.
+_KEY_ROW = (_ROWS["outcome"] == _D0) & ~_ROWS["disclosed"]
 _BOB_BIT = 1 - _ROWS["bob"]
 # Plus (code 0) puts the photon in the external arm: Alice absorbed, bit 0.
 # Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.
-_EVE_GUESS = np.where(_ROWS["eve_result"] <= 1, _ROWS["eve_result"], -1).astype(np.int8)
+_EVE_GUESS = np.stack([np.full(_ROW_CODES, -1),
+                       np.where(_ROWS["eve_result"] <= 1, _ROWS["eve_result"], -1)]).astype(np.int8)
 
 
 @functools.lru_cache(maxsize=2)
@@ -576,11 +555,12 @@ class _Bins:
     """Angles counted together, and where each angle's thresholds lie among theirs.
 
     Per pair code, ``outcome_thresholds`` is the sorted union of the angles'
-    outcome thresholds and 2**53, padded with 2**53, ``eve_thresholds`` the
-    same of their Eve tables, and the bucket tables are ``_bucket_table`` of
-    each.  A round's bin counts its row's merged thresholds at or below its
-    key; its code at an angle is at most j exactly when the bin is below the
-    edge of T[j], the count of merged thresholds at or below it.
+    outcome thresholds (``_thresholds``) and 2**53, padded with 2**53,
+    ``eve_thresholds`` the same of their Eve tables, and the bucket tables
+    are ``_bucket_table`` of each; every array is read-only.  A round's bin
+    counts its row's merged thresholds at or below its key; its code at an
+    angle is at most j exactly when the bin is below the edge of T[j], the
+    count of merged thresholds at or below it.
     ``outcome_edges`` holds 0 and the edges, per angle and pair; ``eve_edges``
     per angle, pair and outcome bounds the Eve-absent cell and Eve's three,
     so each joint bin lies in one row at each angle.  Sessions are counted in
@@ -596,30 +576,29 @@ class _Bins:
     shape: tuple[int, int, int, int]
 
 
-def _merge(per_angle: list[SamplingTables]) -> list[np.ndarray]:
-    """The merged outcome and Eve thresholds of the ``_Bins`` of these angles."""
+def _merge(per_angle: list[tuple]) -> list[np.ndarray]:
+    """The merged outcome and Eve thresholds of the ``_Bins`` of these angles' ``_thresholds``."""
     merged = []
-    for tables in ([t.outcome_thresholds for t in per_angle],
-                   [t.eve_thresholds for t in per_angle if t.eve_thresholds is not None]):
+    for tables in ([outcome for outcome, _ in per_angle],
+                   [eve for _, eve in per_angle if eve is not None]):
         rows = [sorted(set(row)) for row in np.hstack([*tables, np.full((4, 1), _TOP)]).tolist()]
         width = max(map(len, rows))
         merged.append(np.array([row + [_TOP] * (width - len(row)) for row in rows], np.uint64))
     return merged
 
 
-def _bins(per_angle: list[SamplingTables]) -> _Bins:
+def _bins(per_angle: list[tuple]) -> _Bins:
     outcome, eve = _merge(per_angle)
     outcome_edges = np.zeros((len(per_angle), 4, len(OUTCOME_ORDER) + 1), np.intp)
     eve_edges = np.full((*outcome_edges.shape[:2], len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 2),
                         eve.shape[1])
     eve_edges[..., 0] = 0
-    for (angle, tables), pair in itertools.product(enumerate(per_angle), range(4)):
-        outcome_edges[angle, pair, 1:] = outcome[pair].searchsorted(
-            tables.outcome_thresholds[pair], "right")
+    for (angle, (own_outcome, own_eve)), pair in itertools.product(enumerate(per_angle),
+                                                                   range(4)):
+        outcome_edges[angle, pair, 1:] = outcome[pair].searchsorted(own_outcome[pair], "right")
         # Eve's row is zeros on a pair whose D0 cannot happen: its D0 bins stay Eve-absent.
-        if tables.eve_thresholds is not None and tables.eve_thresholds[pair, -1]:
-            eve_edges[angle, pair, _D0, 1:] = 0, *eve[pair].searchsorted(
-                tables.eve_thresholds[pair], "right")
+        if own_eve is not None and own_eve[pair, -1]:
+            eve_edges[angle, pair, _D0, 1:] = 0, *eve[pair].searchsorted(own_eve[pair], "right")
     bins = _Bins(outcome, eve, _bucket_table(outcome), _bucket_table(eve), outcome_edges,
                  eve_edges, (2, 4, outcome.shape[1], eve.shape[1]))
     for array in vars(bins).values():
@@ -632,11 +611,12 @@ def _bins(per_angle: list[SamplingTables]) -> _Bins:
 def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
     """(Once per grid) the grid's angles in batches, each as long as its bins fit their dtypes.
 
-    No key reaches a merged row's last threshold, 2**53, so a row of at most
+    Each angle's ``_thresholds`` live only until its batch is merged.  No
+    key reaches a merged row's last threshold, 2**53, so a row of at most
     ``_STRADDLES`` thresholds bins below that sentinel.  33 angles are one batch.
     """
     batches = [[]]
-    for tables in map(sampling_tables, upsilons):
+    for tables in map(_thresholds, upsilons):
         outcome, eve = (t.shape[1] for t in _merge(batches[-1] + [tables]))
         if max(outcome, eve) > _STRADDLES or 8 * outcome * eve > _JOINT_CELLS:
             batches.append([])
@@ -763,9 +743,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
     Round i's uniforms are counter step i of the (seed, round-stream)
     generator and its disclosure uniform is double i of the (seed,
     disclose-stream) generator, so any worker count gives the same log.
-    Only the histogram is counted here.  ``sift``, ``sifted`` and a
-    per-round export map the rounds again as they read them, so none of
-    them holds a column; the columns are decoded when one is first read.
+    Only the histogram is counted here.  ``sift`` and a per-round export
+    map the rounds again as they read them, so neither holds a column; the
+    columns are decoded when one is first read.
     """
     return summarize_sweep(config, [config.upsilon], workers)[0]
 
@@ -775,7 +755,8 @@ class SiftedKey:
     """Raw key bits from announced D0 rounds not disclosed for checking.
 
     ``eve_guesses`` holds Eve's bit guess per position (-1 when she has
-    none: inconclusive measurement or no attack).
+    none: inconclusive measurement or no attack), as ``round(i)`` and the
+    export show her result.
     """
 
     alice_bits: np.ndarray
@@ -824,4 +805,4 @@ def sift(log: SessionLog) -> SiftedKey:
     """
     kept = np.concatenate([codes[_KEY_ROW[codes]] for _, codes in log._code_pieces()])
     return SiftedKey(alice_bits=_ROWS["alice"][kept], bob_bits=_BOB_BIT[kept],
-                     eve_guesses=_EVE_GUESS[kept])
+                     eve_guesses=_EVE_GUESS[int(log.config.attack_active)][kept])

@@ -1,4 +1,4 @@
-"""Shared helpers: rounds mapped by the session's own task, a log's columns and peak memory."""
+"""Shared helpers: rounds mapped by the session's own task, views of a log and peak memory."""
 
 import tracemalloc
 from unittest import mock
@@ -55,6 +55,11 @@ def with_columns(log):
     """``log`` once a column has been read: its five columns are then its record."""
     log.outcome
     return log
+
+
+def d0_rounds(log) -> int:
+    """The log's D0 rounds: the sum of its histogram's D0 cells."""
+    return sum(n for (_, _, outcome), n in log.counters.items() if outcome == "D0")
 
 
 def peak_traced_mb(fn) -> float:

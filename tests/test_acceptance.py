@@ -33,6 +33,8 @@ from scqkd.ontology import (
 from scqkd.protocol import SessionConfig, run_session, sift
 from scqkd.security import key_rate, solve_threshold
 
+from conftest import d0_rounds
+
 N_FULL = 1_000_000
 ATTACK_GRID = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 EPSILON_PI4 = 0.22654091966098642
@@ -81,7 +83,7 @@ def test_criterion_1_ideal_detection_table(draw_pair):
 
 
 def test_criterion_2_efficiency_one_eighth(ideal_log):
-    freq = float(ideal_log.sifted.mean())
+    freq = d0_rounds(ideal_log) / N_FULL
     assert abs(freq - 1 / 8) <= four_sigma(1 / 8, N_FULL)
     print(f"ACCEPTANCE 2 efficiency 1/8: PASS (P(D0) = {freq:.5f})")
 

@@ -29,12 +29,11 @@ from scqkd.protocol import (
     SessionConfig,
     SessionLog,
     run_session,
-    sampling_tables,
     sift,
     summarize_sweep,
 )
 
-from conftest import mapped_codes, peak_traced_mb, round_words, with_columns
+from conftest import d0_rounds, mapped_codes, peak_traced_mb, round_words, with_columns
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -176,13 +175,10 @@ class TestSampler:
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 6, math.pi / 2])
     def test_codes_match_a_scalar_reference(self, upsilon):
         povm = build_povm(upsilon) if upsilon else None
-        tables = sampling_tables(upsilon)
         rng = np.random.default_rng(12)
         # Both ends of the word range, and each threshold's last word below
         # it and first word at or above it (words past 2**64 - 1 dropped).
-        thresholds = [tables.outcome_thresholds]
-        if tables.eve_thresholds is not None:
-            thresholds.append(tables.eve_thresholds)
+        thresholds = [t for t in protocol._thresholds(upsilon) if t is not None]
         starts = [int(t) << 11 for table in thresholds for t in table.ravel()]
         edges = [w for w in [0, 2**64 - 1, *starts, *(s - 1 for s in starts)] if 0 <= w < 2**64]
         edges = np.array(edges, dtype=np.uint64)
@@ -237,13 +233,12 @@ class TestSampler:
             with mock.patch.object(protocol, "_philox_words", lambda *args: words):
                 (counts,) = protocol._bin_chunk(plan, 0, 0, disclosed)
             for upsilon, histogram in zip(grid, protocol._cells(plan[0], counts), strict=True):
-                tables = sampling_tables(upsilon)
-                outcome = protocol._count_thresholds(tables.outcome_thresholds, pair, k_outcome)
+                outcome_thresholds, eve_thresholds = protocol._thresholds(upsilon)
+                outcome = protocol._count_thresholds(outcome_thresholds, pair, k_outcome)
                 eve = np.full(len(pair), -1, dtype=np.int8)
-                if tables.eve_thresholds is not None:
+                if eve_thresholds is not None:
                     d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
-                    eve[d0] = protocol._count_thresholds(tables.eve_thresholds, pair[d0],
-                                                         k_eve[d0])
+                    eve[d0] = protocol._count_thresholds(eve_thresholds, pair[d0], k_eve[d0])
                 expected = protocol._encode(pair, outcome, eve, disclosed)
                 np.testing.assert_array_equal(mapped_codes(upsilon, words, disclosed), expected)
                 # The binned histogram, every (pair, outcome, Eve, disclosed) cell of it.
@@ -269,14 +264,33 @@ class TestSampler:
         np.testing.assert_array_equal(after.outcome_buckets, before.outcome_buckets)
         np.testing.assert_array_equal(after.eve_buckets, before.eve_buckets)
 
+    def test_clearing_the_plan_alone_rebuilds_it_from_core(self):
+        grid = (0.0, math.pi / 6, math.pi / 2)
+        before = protocol._sweep_plan(grid)
+        protocol._sweep_plan.cache_clear()
+        with mock.patch.object(protocol, "terminal_distribution",
+                               wraps=protocol.terminal_distribution) as core:
+            (after,) = protocol._sweep_plan(grid)
+            assert core.call_count == 4 * len(grid)  # one call per choice pair and angle
+            assert protocol._sweep_plan(grid)[0] is after
+            assert core.call_count == 4 * len(grid)
+        (old,) = before
+        for name, array in vars(after).items():
+            np.testing.assert_array_equal(array, getattr(old, name), err_msg=name)
+
     def test_importing_the_package_builds_no_table(self):
-        caches = ("sampling_tables", "_sweep_plan", "_records", "_row_templates")
-        code = ("import scqkd, scqkd.cli, scqkd.protocol as p; "
-                f"print(*(getattr(p, name).cache_info().currsize for name in {caches}))")
+        # Every cache in the module's namespace, of which its own are the
+        # plan, the records and the row templates.
+        code = ("import json, scqkd, scqkd.cli, scqkd.protocol as p; "
+                "print(json.dumps({n: [f.__module__ == p.__name__, f.cache_info().currsize] "
+                "for n, f in vars(p).items() if hasattr(f, 'cache_info')}))")
         src = str(Path(protocol.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout == "0 0 0 0\n"
+        caches = json.loads(done.stdout)
+        assert sorted(n for n, (own, _) in caches.items() if own) == [
+            "_records", "_row_templates", "_sweep_plan"]
+        assert all(size == 0 for _, size in caches.values()), caches
 
     def test_degenerate_distribution_is_deterministic(self, draw_pair):
         codes, _ = draw_pair(Choice.REFLECT, Choice.REFLECT, None, 100, np.random.default_rng(3))
@@ -326,7 +340,7 @@ class TestRoundView:
 
     def test_announcement_is_a_function_of_the_outcome(self):
         log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=17))
-        for i, rec in enumerate(log.iter_rounds()):
+        for i, rec in enumerate(map(log.round, range(len(log)))):
             assert rec.round_id == i
             assert (rec.announced is Announcement.D0) == (rec.outcome is Outcome.D0)
             assert rec.sifted == (rec.outcome is Outcome.D0)
@@ -334,7 +348,7 @@ class TestRoundView:
     def test_eve_data_only_on_attacked_d0_rounds(self):
         log = run_session(SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=23))
         seen_d0 = False
-        for rec in log.iter_rounds():
+        for rec in map(log.round, range(len(log))):
             if rec.outcome is Outcome.D0:
                 seen_d0 = True
                 assert rec.eve_result is not None
@@ -347,25 +361,29 @@ class TestRoundView:
         # Every row code once, Eve's results on rounds of every outcome included.
         log = SessionLog(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
         rows = json.loads(log.to_json(include_rounds=True))["rounds"]
-        for code, rec, row in zip(range(128), log.iter_rounds(), rows, strict=True):
+        key = iter(sift(log).eve_guesses.tolist())
+        for code, rec, row in zip(range(128), map(log.round, range(128)), rows, strict=True):
             eve = (code >> 1 & 3) - 1
             shown = log.config.attack_active and rec.outcome is Outcome.D0 and eve >= 0
             assert rec.eve_result is (EVE_OUTCOME_ORDER[eve] if shown else None), code
             assert row["eve_result"] == (rec.eve_result.value if shown else None), code
+            # The key's guess is the bit Eve's shown result names: Plus 0, Minus 1.
+            if rec.sifted and not rec.disclosed_for_check:
+                assert next(key) == (eve if shown and eve <= 1 else -1), code
+        assert next(key, None) is None
 
     def test_no_eve_round_carries_no_probe(self):
         log = run_session(SessionConfig(n_rounds=100, seed=31))
-        for rec in log.iter_rounds():
+        for rec in map(log.round, range(len(log))):
             assert rec.eve_result is None
 
     def test_attacked_d0_record_equals_itself_across_a_table_rebuild(self):
         config = SessionConfig(n_rounds=500, upsilon=math.pi / 4, seed=23)
         log = run_session(config)
-        i = int(np.flatnonzero(log.sifted)[0])
+        i = int(np.flatnonzero(log.outcome == OUTCOME_ORDER.index(Outcome.D0))[0])
         before = log.round(i)
         assert before.eve_result is not None
         (bins,) = protocol._sweep_plan((config.upsilon,))
-        sampling_tables.cache_clear()
         protocol._sweep_plan.cache_clear()
         # A fresh log is mapped through rebuilt tables, not the ones before the clear.
         fresh = run_session(config)
@@ -430,18 +448,18 @@ class TestRunSession:
         n = 100_000
         log = run_session(SessionConfig(n_rounds=n, seed=41))
         sigma = math.sqrt((1 / 8) * (7 / 8) / n)
-        assert abs(log.sifted.mean() - 1 / 8) <= 4 * sigma
+        assert abs(d0_rounds(log) / n - 1 / 8) <= 4 * sigma
 
     def test_d0_frequency_under_full_strength_attack(self):
         n = 100_000
         log = run_session(SessionConfig(n_rounds=n, upsilon=math.pi / 2, seed=43))
         sigma = math.sqrt(0.25 * 0.75 / n)
-        assert abs(log.sifted.mean() - 0.25) <= 4 * sigma
+        assert abs(d0_rounds(log) / n - 0.25) <= 4 * sigma
 
     def test_counters_match_a_brute_force_recount(self):
         log = run_session(SessionConfig(n_rounds=2_000, upsilon=math.pi / 4, seed=53))
         recount = {}
-        for rec in log.iter_rounds():
+        for rec in map(log.round, range(len(log))):
             key = (rec.alice_choice.value, rec.bob_choice.value, rec.outcome.value)
             recount[key] = recount.get(key, 0) + 1
         counters = log.counters
@@ -579,8 +597,8 @@ class TestSummary:
             thresholds = np.sort(rng.integers(1, 2**53, (4, 4), dtype=np.uint64), axis=1)
             thresholds[:, 2] = thresholds[:, 1]  # an outcome that never happens
             thresholds[:, 3] = 2**53
-            fake[angle / 100] = protocol.SamplingTables(thresholds, None)
-        with mock.patch.object(protocol, "sampling_tables", fake.__getitem__):
+            fake[angle / 100] = thresholds, None
+        with mock.patch.object(protocol, "_thresholds", fake.__getitem__):
             plan = protocol._sweep_plan.__wrapped__(tuple(fake))
         assert [bins.shape[2] for bins in plan] == [protocol._STRADDLES, 2 * 3 + 1]
         disclosed = rng.random(5_000) < 0.3
@@ -589,11 +607,10 @@ class TestSummary:
         words = protocol._philox_words(21, protocol.ROUND_STREAM, 0, len(disclosed))
         pair = (words[:, 0] >> 63 << 1 | words[:, 1] >> 63).astype(np.uint8)
         eve = np.full(len(pair), -1, np.int8)
-        with mock.patch.multiple(protocol, sampling_tables=fake.__getitem__,
+        with mock.patch.multiple(protocol, _thresholds=fake.__getitem__,
                                  _sweep_plan=protocol._sweep_plan.__wrapped__):
-            for (angle, tables), histogram in zip(fake.items(), histograms, strict=True):
-                outcome = protocol._count_thresholds(tables.outcome_thresholds, pair,
-                                                     words[:, 2] >> 11)
+            for (angle, (thresholds, _)), histogram in zip(fake.items(), histograms, strict=True):
+                outcome = protocol._count_thresholds(thresholds, pair, words[:, 2] >> 11)
                 expected = protocol._encode(pair, outcome, eve, disclosed)
                 np.testing.assert_array_equal(histogram, np.bincount(expected, minlength=128))
                 np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
@@ -603,7 +620,7 @@ class TestDisclosure:
     def test_zero_fraction_keeps_every_d0_round(self):
         log = run_session(SessionConfig(n_rounds=20_000, seed=61, check_fraction=0.0))
         assert log.disclosed.sum() == 0
-        assert len(sift(log)) == int(log.sifted.sum())
+        assert len(sift(log)) == d0_rounds(log)
 
     def test_full_disclosure_empties_the_key(self):
         log = run_session(SessionConfig(n_rounds=5_000, seed=67, check_fraction=1.0))
@@ -735,7 +752,7 @@ class TestSerialization:
 
     def test_announced_column_leaks_only_the_d0_bit(self):
         log = run_session(SessionConfig(n_rounds=2_000, upsilon=math.pi / 4, seed=9))
-        for rec in log.iter_rounds():
+        for rec in map(log.round, range(len(log))):
             expected = Announcement.D0 if rec.outcome is Outcome.D0 else Announcement.NOT_D0
             assert rec.announced is expected
 

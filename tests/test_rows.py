@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
-from scqkd.protocol import SessionConfig, SessionLog, run_session, sampling_tables
+from scqkd.protocol import SessionConfig, SessionLog, run_session
 
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
 CHECK_FRACTIONS = [0.0, 0.5, 1.0]
@@ -31,7 +31,7 @@ D0 = OUTCOME_ORDER.index(Outcome.D0)
 
 def reference_rows(log, ids=None) -> list[dict]:
     """The rows of rounds ``ids`` (default: every round), in that order."""
-    records = log.iter_rounds() if ids is None else map(log.round, ids)
+    records = map(log.round, range(len(log)) if ids is None else ids)
     return [
         {
             "round_id": rec.round_id,
@@ -89,11 +89,10 @@ def assert_rows_match_reference(log) -> None:
 
 def reachable_combinations(upsilon) -> set[tuple[int, int, int, int]]:
     """(alice, bob, outcome, eve) codes of positive probability at one angle."""
-    tables = sampling_tables(upsilon)
     # A cell's probability in the law the sampler realizes: its threshold gap times 2**-53.
     p_outcome, p_eve = (
         None if t is None else np.diff(t.astype(np.int64), prepend=0, axis=1) * 2.0**-53
-        for t in (tables.outcome_thresholds, tables.eve_thresholds)
+        for t in protocol._thresholds(upsilon)
     )
     combos = set()
     for pair in range(4):
