@@ -13,12 +13,12 @@ error, 4 integrity violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .ontology import IntegrityViolationError, classification_matrix
@@ -179,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # dropping a newline from each piece of the session drops only that one.
     session_json = session._document("json") if values["include_rounds"] else [session.to_json()]
     pieces = itertools.chain(
-        ['{"report":', _canonical(asdict(report)), ',"session":'],
+        ['{"report":', _canonical(vars(report)), ',"session":'],
         map(lambda piece: piece.removesuffix("\n"), session_json),
         ["}\n"],
     )
@@ -195,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep requires --grid (comma-separated angles)")
     reports = sweep_reports(_session_config(values), grid, workers=values["workers"])
     if values["format"] == "json":
-        _write_output(values["out"], [_canonical(list(map(asdict, reports))) + "\n"])
+        _write_output(values["out"], [_canonical(list(map(vars, reports))) + "\n"])
     else:
         _write_output(values["out"], [sweep_csv(reports)])
     return EXIT_OK
@@ -229,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = (
-        ("simulate", cmd_simulate, "run one session and its security report"),
-        ("sweep", cmd_sweep, "security curve over a grid of probe angles"),
-        ("threshold", cmd_threshold, "solve the key-rate security threshold"),
-        ("ontology", cmd_ontology, "classify the canonical scenarios"),
+        ("simulate", "run one session and its security report"),
+        ("sweep", "security curve over a grid of probe angles"),
+        ("threshold", "solve the key-rate security threshold"),
+        ("ontology", "classify the canonical scenarios"),
     )
-    for name, func, help_text in commands:
+    for name, help_text in commands:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="flat key = value config file")
         for key, option in OPTIONS.items():
@@ -245,16 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
                                  help=option.help)
             else:
                 cmd.add_argument(_flag(key), dest=key, help=option.help)
-        cmd.set_defaults(func=func)
     return parser
 
 
+#: The parser ``main`` reads every command line with, built on first use.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    """Dispatch a command line; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Dispatch a command line; returns the process exit code.
+
+    The parser is built once per process.  Each command line's
+    ``cmd_<command>`` function is looked up in this module when it runs, so
+    a function replaced on the module is the one called.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except IntegrityViolationError as exc:
         print(f"integrity violation: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

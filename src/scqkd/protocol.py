@@ -607,21 +607,45 @@ def _bins(per_angle: list[tuple]) -> _Bins:
     return bins
 
 
+def _row_unions(table: np.ndarray | None) -> list[set]:
+    """Per pair code, the set of a table's thresholds and 2**53 (2**53 alone without a table)."""
+    rows = table.tolist() if table is not None else [[]] * 4
+    return [{int(_TOP), *row} for row in rows]
+
+
+def _batches(per_angle) -> list[list[tuple]]:
+    """The angles' ``_thresholds`` in batches, in order, each as long as its bins fit their dtypes.
+
+    A batch ends before the angle that would make a merged row (``_merge``)
+    longer than ``_STRADDLES`` or the joint cells more than ``_JOINT_CELLS``.
+    Each row's union of thresholds grows in place as angles join, so each
+    angle is merged once, whatever the batch's length.
+    """
+    batches: list[list[tuple]] = []
+    for tables in per_angle:
+        own = list(map(_row_unions, tables))
+        if batches:
+            outcome, eve = (max(len(row) + len(new - row) for row, new in zip(rows, news))
+                            for rows, news in zip(unions, own))
+            if max(outcome, eve) <= _STRADDLES and 8 * outcome * eve <= _JOINT_CELLS:
+                for rows, news in zip(unions, own):
+                    for row, new in zip(rows, news):
+                        row |= new
+                batches[-1].append(tables)
+                continue
+        batches.append([tables])
+        unions = own
+    return batches
+
+
 @functools.lru_cache(maxsize=16)
 def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
-    """(Once per grid) the grid's angles in batches, each as long as its bins fit their dtypes.
+    """(Once per grid) the grid's angles in ``_batches``, each merged once into its ``_Bins``.
 
-    Each angle's ``_thresholds`` live only until its batch is merged.  No
-    key reaches a merged row's last threshold, 2**53, so a row of at most
+    No key reaches a merged row's last threshold, 2**53, so a row of at most
     ``_STRADDLES`` thresholds bins below that sentinel.  33 angles are one batch.
     """
-    batches = [[]]
-    for tables in map(_thresholds, upsilons):
-        outcome, eve = (t.shape[1] for t in _merge(batches[-1] + [tables]))
-        if max(outcome, eve) > _STRADDLES or 8 * outcome * eve > _JOINT_CELLS:
-            batches.append([])
-        batches[-1].append(tables)
-    return tuple(map(_bins, batches))
+    return tuple(map(_bins, _batches(map(_thresholds, upsilons))))
 
 
 def _joint(bins: _Bins, disclosed: np.ndarray, draws: tuple) -> np.ndarray:
@@ -687,39 +711,60 @@ def _code_task(config: SessionConfig):
     return task
 
 
+def _chunk_bounds(n: int, workers: int, block: int) -> list[int]:
+    """The first round of each chunk of an ``n``-round session, then ``n``.
+
+    With k = ceil(n / block) chunks of ``block`` rounds and m = min(workers,
+    k), the session is c = m * ceil(k / m) chunks: the first c - m hold
+    ``block`` rounds and the last m share the rest evenly, so each of the m
+    workers gets the same number of chunks and the tail leaves none idle.
+    One worker gives k chunks, all full but the last.  No chunk holds more
+    than ``block`` rounds or none, and there are fewer than 2k.
+    """
+    k = -(-n // block)
+    m = min(workers, k)
+    start = (m * -(-k // m) - m) * block
+    tail = (start + j * (n - start) // m for j in range(m + 1))
+    return [*range(0, start, block), *dict.fromkeys(tail)]
+
+
 def _map_chunks(config: SessionConfig, workers: int, task):
-    """Yield ``task(lo, disclosed)`` per chunk of ``SAMPLING_BLOCK`` rounds, in order.
+    """Yield ``task(lo, disclosed)`` per chunk of ``_chunk_bounds``, in order.
 
     ``lo`` is the chunk's first round and ``disclosed`` its disclosure
     mask.  The tasks, ``_code_task``'s map at one angle or ``_bin_chunk``'s
     count for a sweep, both read each round's bin from ``_joint``.  They
-    run on a pool of ``workers`` threads, and each draws its chunk's words
-    at the chunk's own counter step.  The disclosure stream packs four
-    rounds into each counter step; the calling thread draws it in order, a
-    chunk at a time, while the workers count earlier chunks.  At most two
-    chunks per worker are in flight, so memory does not grow with the
-    session.  Worker threads call only numpy and private helpers, never a
-    public function, and share no output: each task returns its result,
-    and the caller reads the results in order on its own thread.
+    run on a pool of at most ``workers`` threads, one per full chunk at
+    most, and each draws its chunk's words at the chunk's own counter step,
+    so a round's row depends only on the seed and the round's index.  The
+    disclosure stream packs four rounds into each counter step; the calling
+    thread draws it in order, a chunk at a time, while the workers count
+    earlier chunks.  At most two chunks per thread are in flight, so memory
+    does not grow with the session.  Worker threads call only numpy and
+    private helpers, never a public function, and share no output: each
+    task returns its result, and the caller reads the results in order on
+    its own thread.
     """
     n, check_fraction = config.n_rounds, config.check_fraction
+    threads = min(workers, -(-n // SAMPLING_BLOCK))
+    bounds = _chunk_bounds(n, threads, SAMPLING_BLOCK)
     disclose = philox_stream(config.seed, DISCLOSE_STREAM)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: collections.deque = collections.deque()
-        for lo in range(0, n, SAMPLING_BLOCK):
-            disclosed = disclose.random(min(SAMPLING_BLOCK, n - lo)) < check_fraction
+        for lo, hi in itertools.pairwise(bounds):
+            disclosed = disclose.random(hi - lo) < check_fraction
             pending.append(pool.submit(task, lo, disclosed))
-            if len(pending) > 2 * workers:
+            if len(pending) > 2 * threads:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
 
 
-def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionLog]:
-    """The log of ``config`` at each angle of ``upsilons``, in order, from one pass.
+def _sweep_histograms(config: SessionConfig, upsilons,
+                      workers: int) -> tuple[list[SessionConfig], np.ndarray]:
+    """The config at each angle of ``upsilons`` and its row-code histogram, one row per angle.
 
-    Each log holds only its histogram and equals ``run_session`` of
-    ``config`` at that angle, for any worker count; each chunk's words and
+    Every angle's histogram comes from one pass: each chunk's words and
     disclosure mask are drawn once.  ``_sweep_plan`` merges the grid's
     thresholds, ``_bin_chunk`` counts each chunk's rounds per bin, and
     ``_cells`` reads every angle's histogram out of the summed counts.
@@ -728,12 +773,23 @@ def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[S
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     configs = [replace(config, upsilon=upsilon) for upsilon in upsilons]
     if not configs:
-        return []
+        return [], np.zeros((0, _ROW_CODES), np.int64)
     plan = _sweep_plan(tuple(c.upsilon for c in configs))
     totals = [0] * len(plan)
     for counts in _map_chunks(config, workers, functools.partial(_bin_chunk, plan, config.seed)):
         totals = [total + c for total, c in zip(totals, counts)]
-    histograms = np.concatenate([_cells(bins, total) for bins, total in zip(plan, totals)])
+    return configs, np.concatenate([_cells(bins, total) for bins, total in zip(plan, totals)])
+
+
+def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionLog]:
+    """The log of ``config`` at each angle of ``upsilons``, in order, from one pass.
+
+    Each log holds only its histogram, a row of ``_sweep_histograms``, and
+    equals ``run_session`` of ``config`` at that angle, for any worker
+    count.  ``security.sweep_reports`` reads the same histograms without
+    making a log.
+    """
+    configs, histograms = _sweep_histograms(config, upsilons, workers)
     return [SessionLog._of_histogram(c, h, workers) for c, h in zip(configs, histograms)]
 
 

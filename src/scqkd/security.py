@@ -11,7 +11,9 @@ the crossing sits near a 21% error rate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Choice, Outcome, OUTCOME_ORDER
 from .protocol import (
@@ -21,8 +23,8 @@ from .protocol import (
     SessionLog,
     _canonical,
     _csv_line,
+    _sweep_histograms,
     run_session,  # noqa: F401  public here too: callers and tracers reach it through this module
-    summarize_sweep,
 )
 
 _REFLECT = CHOICES_BY_CODE.index(Choice.REFLECT)
@@ -120,7 +122,7 @@ class SecurityReport:
     secure: bool
 
     def to_json(self) -> str:
-        return _canonical(asdict(self)) + "\n"
+        return _canonical(vars(self)) + "\n"
 
 
 def estimate_from_session(log: SessionLog) -> SecurityReport:
@@ -131,16 +133,33 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
     disclosed D0 rounds whose choices failed to anti-correlate.  Mutual
     informations, the key rate, and the secure flag are derived from the
     visibility estimate (clamped into [0, 1] against sampling noise).
-    Every count comes from the session's histogram of row codes.
+    Every count comes from the session's histogram of row codes, read as a
+    one-row sweep by the code that ``sweep_reports`` runs.
 
     Raises:
         InsufficientCheckDataError: fewer than 100 disclosed both-reflect
             rounds.
     """
-    # Disclosed rounds per (alice, bob, outcome), summed over Eve's codes.
-    checked = log.histogram.reshape(HISTOGRAM_SHAPE)[..., 1].sum(axis=3)
-    n_d0 = int(checked[_REFLECT, _REFLECT, _D0])
-    n_d1 = int(checked[_REFLECT, _REFLECT, _D1])
+    return _reports([log.config.upsilon], log.histogram[None])[0]
+
+
+def _reports(upsilons: list, histograms: np.ndarray) -> list[SecurityReport]:
+    """The report of each row of ``histograms`` at its angle, in order.
+
+    The counts of every row are read in one numpy pass and leave it as
+    Python ints, so each report's floats are Python expressions on them.
+    """
+    # Disclosed rounds per (angle, alice, bob, outcome), summed over Eve's codes.
+    checked = histograms.reshape(-1, *HISTOGRAM_SHAPE)[..., 1].sum(axis=4)
+    d0 = checked[..., _D0]
+    counts = zip(d0[:, _REFLECT, _REFLECT].tolist(),
+                 checked[:, _REFLECT, _REFLECT, _D1].tolist(),
+                 d0.sum(axis=(1, 2)).tolist())
+    return [_report(upsilon, *row) for upsilon, row in zip(upsilons, counts, strict=True)]
+
+
+def _report(upsilon: float | None, n_d0: int, n_d1: int, n_check_d0: int) -> SecurityReport:
+    """One session's report from its disclosed Reflect/Reflect D0 and D1 and all disclosed D0."""
     n_ff = n_d0 + n_d1
     if n_ff < 100:
         raise InsufficientCheckDataError(
@@ -151,7 +170,6 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
     q = n_d0 / n_ff
     v_se = 2.0 * math.sqrt(q * (1.0 - q) / n_ff)
 
-    n_check_d0 = int(checked[:, :, _D0].sum())
     if n_check_d0 > 0:
         # Of the disclosed D0 rounds, the Reflect/Reflect ones failed to anti-correlate.
         eps_hat = n_d0 / n_check_d0
@@ -160,7 +178,6 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
         eps_hat = 0.0
         eps_se = 0.0
 
-    upsilon = log.config.upsilon
     v_analytic = visibility_of_upsilon(upsilon) if upsilon is not None else 1.0
     i_bob, i_eve, rate = _informations(min(max(v_hat, 0.0), 1.0))
     return SecurityReport(
@@ -179,8 +196,14 @@ def estimate_from_session(log: SessionLog) -> SecurityReport:
 
 
 def sweep_reports(config: SessionConfig, upsilon_grid, workers: int = 1) -> list[SecurityReport]:
-    """Summarize ``config`` at each grid angle, in one pass, and estimate each, in input order."""
-    return [estimate_from_session(log) for log in summarize_sweep(config, upsilon_grid, workers)]
+    """Estimate ``config`` at each grid angle, in input order, from one pass and no log.
+
+    Every angle's histogram is a row of ``protocol._sweep_histograms``, the
+    array that ``summarize_sweep``'s logs hold one row each of, so each
+    report equals ``estimate_from_session`` of that angle's log.
+    """
+    configs, histograms = _sweep_histograms(config, upsilon_grid, workers)
+    return _reports([c.upsilon for c in configs], histograms)
 
 
 #: Column order of the sweep CSV.
