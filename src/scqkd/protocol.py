@@ -734,9 +734,9 @@ def _map_chunks(config: SessionConfig, workers: int, task):
     ``lo`` is the chunk's first round and ``disclosed`` its disclosure
     mask.  The tasks, ``_code_task``'s map at one angle or ``_bin_chunk``'s
     count for a sweep, both read each round's bin from ``_joint``.  They
-    run on a pool of at most ``workers`` threads, one per full chunk at
-    most, and each draws its chunk's words at the chunk's own counter step,
-    so a round's row depends only on the seed and the round's index.  The
+    run on a pool of min(``workers``, ceil(n / ``SAMPLING_BLOCK``)) threads,
+    and each draws its chunk's words at the chunk's own counter step, so a
+    round's row depends only on the seed and the round's index.  The
     disclosure stream packs four rounds into each counter step; the calling
     thread draws it in order, a chunk at a time, while the workers count
     earlier chunks.  At most two chunks per thread are in flight, so memory
@@ -746,8 +746,9 @@ def _map_chunks(config: SessionConfig, workers: int, task):
     its own thread.
     """
     n, check_fraction = config.n_rounds, config.check_fraction
-    threads = min(workers, -(-n // SAMPLING_BLOCK))
-    bounds = _chunk_bounds(n, threads, SAMPLING_BLOCK)
+    bounds = _chunk_bounds(n, workers, SAMPLING_BLOCK)
+    # At ceil(n / SAMPLING_BLOCK) workers or more, there are that many chunks.
+    threads = min(workers, len(bounds) - 1)
     disclose = philox_stream(config.seed, DISCLOSE_STREAM)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: collections.deque = collections.deque()

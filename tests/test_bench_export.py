@@ -68,3 +68,31 @@ def test_empty_directory_and_bad_label_are_refused(tmp_path):
     assert bench_export.main(["--out", str(out), f"x={empty}"]) == 2
     assert bench_export.main(["--out", str(out), str(empty)]) == 2
     assert not out.exists()
+
+
+def test_parent_and_change_are_compared_pair_by_pair(tmp_path):
+    # Seeds 1-5 on both sides, seed 6 on the parent alone; the change reads a
+    # higher rate in 4 of 5 pairs and the same peak RSS in every pair.
+    rates = {1: (10.0, 12.0), 2: (20.0, 19.0), 3: (30.0, 33.0), 4: (40.0, 44.0), 5: (50.0, 55.0)}
+    parent = write(tmp_path / "parent", *(record("sim", s, p, "p0") for s, (p, _) in rates.items()),
+                   record("sim", 6, 99.0, "p0"))
+    change = write(tmp_path / "change", *(record("sim", s, c, "c1") for s, (_, c) in rates.items()),
+                   record("other", 1, 1.0, "c1"))
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert set(comparison) == {"sim"}  # a workload of one side alone is not compared
+    rate = comparison["sim"]["rounds_per_s"]
+    assert rate == {"better": "higher", "parent_median": 30.0, "parent_quartiles": [15.0, 45.0],
+                    "change_median": 33.0, "ratio": 1.1, "pairs": 5, "change_won": 4}
+    rss = comparison["sim"]["peak_rss_mb"]  # 40 + seed on both sides: no pair is won
+    assert (rss["better"], rss["parent_median"], rss["change_won"]) == ("lower", 43.0, 0)
+    assert set(comparison["sim"]) == {"rounds_per_s", "peak_rss_mb"}  # end-to-end metrics only
+
+
+def test_other_labels_get_no_comparison(tmp_path):
+    before = write(tmp_path / "before", record("sim", 1, 1.0), record("sim", 2, 2.0))
+    after = write(tmp_path / "after", record("sim", 1, 3.0), record("sim", 2, 4.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"parent={before}", f"after={after}"]) == 0
+    assert "comparison" not in json.loads(out.read_text())

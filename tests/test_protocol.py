@@ -616,6 +616,96 @@ class TestSummary:
                 np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
 
 
+def merge_per_angle(per_angle):
+    """The batching rule before batches were merged once: merge the whole
+    batch with the next angle, and start a new batch when its bins outgrow
+    their dtypes."""
+    batches = [[]]
+    for tables in per_angle:
+        outcome, eve = (t.shape[1] for t in protocol._merge(batches[-1] + [tables]))
+        if max(outcome, eve) > protocol._STRADDLES or 8 * outcome * eve > 2**16:
+            batches.append([])
+        batches[-1].append(tables)
+    return batches
+
+
+def batch_ids(batches):
+    return [list(map(id, batch)) for batch in batches]
+
+
+class TestChunks:
+    """A session's chunks, from the bounds alone and through the pool, and a grid's batches."""
+
+    SIZES = [1, 2, 96, 97, 98, 3 * 97 + 1, 2**16 - 1, 2**16, 2**16 + 1, 200_000, 10**7 + 1]
+
+    @pytest.mark.parametrize("block", [1, 3, 97, 2**16])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7, 10**6])
+    def test_bounds_partition_the_session_in_chunks_of_at_most_a_block(self, block, workers):
+        for n in (n for n in self.SIZES if n // block <= 10**5):
+            bounds = protocol._chunk_bounds(n, workers, block)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n, (n, bounds)
+            assert sizes.min() >= 1 and sizes.max() <= block, (n, bounds)
+            k = -(-n // block)
+            assert len(sizes) < 2 * k or len(sizes) == k == 1, (n, bounds)
+            if workers == 1:
+                assert bounds == [*range(0, n, block), n]  # each chunk full but the last
+
+    def test_the_tail_is_shared_evenly(self):
+        assert np.diff(protocol._chunk_bounds(200_000, 2, 2**16)).tolist() == [
+            2**16, 2**16, 34_464, 34_464]
+        # 153 chunks at one worker; at two, 152 full ones and the last
+        # 38 528 rounds in two halves, 77 chunks a worker.
+        sizes = np.diff(protocol._chunk_bounds(10**7, 2, 2**16))
+        assert len(sizes) == 154 and (sizes[:152] == 2**16).all()
+        assert sizes[152:].tolist() == [19_264, 19_264]
+        assert np.diff(protocol._chunk_bounds(3 * 2**16, 2, 2**16)).tolist() == [2**16] * 2 + [
+            2**15] * 2
+        assert np.diff(protocol._chunk_bounds(200_000, 10**6, 2**16)).tolist() == [50_000] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 10**6])
+    def test_chunks_follow_the_bounds_and_draw_the_mask_in_order(self, workers):
+        # Each task sees its chunk's first round and its part of the one
+        # disclosure stream; the pool has no more threads than full chunks.
+        config = SessionConfig(n_rounds=1_000, seed=23, check_fraction=0.4)
+        pools, executor = [], protocol.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers)
+
+        with mock.patch.object(protocol, "SAMPLING_BLOCK", 97), \
+                mock.patch.object(protocol, "ThreadPoolExecutor", pool):
+            chunks = list(protocol._map_chunks(config, workers, lambda lo, mask: (lo, mask)))
+        assert pools == [min(workers, 11)]
+        lows = [lo for lo, _ in chunks]
+        assert lows + [1_000] == protocol._chunk_bounds(1_000, workers, 97)
+        mask = protocol.philox_stream(23, protocol.DISCLOSE_STREAM).random(1_000) < 0.4
+        np.testing.assert_array_equal(np.concatenate([m for _, m in chunks]), mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_equal_those_of_merging_the_whole_batch_per_angle(self, seed):
+        # 300 angles or more split past 255 thresholds.
+        rng = np.random.default_rng(seed)
+        grid = rng.uniform(0.0, math.pi / 2, [3, 40, 300, 420][seed]).tolist()
+        grid[rng.integers(len(grid))] = None
+        grid[rng.integers(len(grid))] = 0.0
+        grid[rng.integers(len(grid))] = grid[0]
+        per_angle = list(map(protocol._thresholds, grid))
+        batches = protocol._batches(per_angle)
+        assert batch_ids(batches) == batch_ids(merge_per_angle(per_angle))
+        assert len(batches) == [1, 1, 4, 6][seed]
+
+    def test_a_batch_may_fill_its_joint_cells_exactly(self):
+        # Made-up angles that share 63 Eve thresholds, each adding one outcome
+        # threshold: the 127th fills 8 * 128 * 64 = 2**16 joint cells.
+        eve = np.tile(np.arange(1, 64, dtype=np.uint64), (4, 1))
+        per_angle = [(np.full((4, 1), j + 1, np.uint64), eve) for j in range(300)]
+        batches = protocol._batches(per_angle)
+        assert list(map(len, batches)) == [127, 127, 46]
+        assert batch_ids(batches) == batch_ids(merge_per_angle(per_angle))
+
+
 class TestDisclosure:
     def test_zero_fraction_keeps_every_d0_round(self):
         log = run_session(SessionConfig(n_rounds=20_000, seed=61, check_fraction=0.0))

@@ -4,6 +4,9 @@
 and restores them afterwards.  A rename or removal of one of them makes
 every traced benchmark run raise, so one test enters the tracer, read
 only, around a small ``sweep`` and a small ``simulate --include-rounds``.
+``cli.main`` builds its parser once per process, so another test enters
+the tracer after untraced calls, as the benchmark's runs do, and checks
+that the commands it patches are still the ones called.
 
 ``perfbench/tests`` injects two faults into a report-only ``simulate``:
 a ``SessionLog.counters`` property that miscounts a cell, and a
@@ -43,6 +46,26 @@ def test_traced_sweep_and_export_run_and_record_their_spans(tmp_path):
     assert {"cli.sweep", "security.sweep_reports", "randomness.random",
             "cli.simulate", "protocol.run_session"} <= names
     assert all(span["end"] is not None for span in tracer.spans)
+
+
+def test_commands_are_traced_after_untraced_calls(tmp_path):
+    # A parser that kept the command functions it was built with would call
+    # the untraced ones here, and the benchmark's ``cli.command_s`` would
+    # be the median of no span.
+    def sweep_and_simulate():
+        assert cli.main(["sweep", "--rounds", "4000", "--grid", "0,0.5",
+                         "--out", str(tmp_path / "sweep.json")]) == 0
+        assert cli.main(["simulate", "--rounds", "4000", "--upsilon", "0.5",
+                         "--out", str(tmp_path / "simulate.json")]) == 0
+
+    sweep_and_simulate()
+    tracer = load_tracing().Tracer()
+    with tracer.installed(scqkd):
+        sweep_and_simulate()
+    assert len(tracer.durations("cli.sweep")) == len(tracer.durations("cli.simulate")) == 1
+    assert {"security.sweep_reports", "protocol.run_session"} <= {s["name"] for s in tracer.spans}
+    sweep_and_simulate()  # restored: no new span
+    assert len(tracer.durations("cli.sweep")) == len(tracer.durations("cli.simulate")) == 1
 
 
 def tampered_counters(monkeypatch):

@@ -11,7 +11,13 @@ machine and build info, each end-to-end run's (``--trace 0``) metrics
 (each already a median over the run's operations) and the median of
 every metric over those runs.  Traced runs (``--trace 1``) are listed
 apart, with only their seed, length, correctness and operation counts.
-It changes no workload, metric or bound.
+When the labels ``parent`` and ``change`` are both given, ``comparison``
+pairs their runs by seed.  Per workload and end-to-end metric of
+``BENCHMARK.json`` it gives, over those pairs, the parent's median and
+quartiles (``statistics.quantiles``), the change's median, their ratio
+(change / parent) and the pairs the change won: those where it reads
+better in the metric's ``better`` direction.  It changes no workload,
+metric or bound.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _load_runs(results: Path, trace: int) -> list[dict]:
@@ -67,6 +75,37 @@ def side(results: Path) -> dict:
     }
 
 
+def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric, the parent's spread and the change's paired wins."""
+    comparison: dict[str, dict] = {}
+    for workload, entry in sorted(parent["workloads"].items()):
+        other = change["workloads"].get(workload)
+        if other is None:
+            continue
+        by_seed = {r["seed"]: r for r in other["runs"]}
+        pairs = [(r, by_seed[r["seed"]]) for r in entry["runs"] if r["seed"] in by_seed]
+        metrics = {}
+        for metric in end_to_end:
+            name, higher = metric["name"], metric["better"] == "higher"
+            paired = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
+            if len(paired) < 2:
+                continue
+            before = [p for p, _ in paired]
+            q1, median, q3 = statistics.quantiles(before, n=4)
+            after = statistics.median(c for _, c in paired)
+            metrics[name] = {
+                "better": metric["better"],
+                "parent_median": median,
+                "parent_quartiles": [q1, q3],
+                "change_median": after,
+                "ratio": after / median,
+                "pairs": len(paired),
+                "change_won": sum(c > p if higher else c < p for p, c in paired),
+            }
+        comparison[workload] = metrics
+    return comparison
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output file, e.g. BENCH_6.json")
@@ -80,6 +119,10 @@ def main(argv=None) -> int:
             if not sep or not label or label in doc["sides"]:
                 raise ValueError(f"expected a new LABEL=DIR, got {spec!r}")
             doc["sides"][label] = side(Path(results))
+        if {"parent", "change"} <= doc["sides"].keys():
+            end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+            doc["comparison"] = compare(doc["sides"]["parent"], doc["sides"]["change"],
+                                        end_to_end)
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_export: {exc}", file=sys.stderr)
         return 2
