@@ -607,45 +607,21 @@ def _bins(per_angle: list[tuple]) -> _Bins:
     return bins
 
 
-def _row_unions(table: np.ndarray | None) -> list[set]:
-    """Per pair code, the set of a table's thresholds and 2**53 (2**53 alone without a table)."""
-    rows = table.tolist() if table is not None else [[]] * 4
-    return [{int(_TOP), *row} for row in rows]
-
-
-def _batches(per_angle) -> list[list[tuple]]:
-    """The angles' ``_thresholds`` in batches, in order, each as long as its bins fit their dtypes.
-
-    A batch ends before the angle that would make a merged row (``_merge``)
-    longer than ``_STRADDLES`` or the joint cells more than ``_JOINT_CELLS``.
-    Each row's union of thresholds grows in place as angles join, so each
-    angle is merged once, whatever the batch's length.
-    """
-    batches: list[list[tuple]] = []
-    for tables in per_angle:
-        own = list(map(_row_unions, tables))
-        if batches:
-            outcome, eve = (max(len(row) + len(new - row) for row, new in zip(rows, news))
-                            for rows, news in zip(unions, own))
-            if max(outcome, eve) <= _STRADDLES and 8 * outcome * eve <= _JOINT_CELLS:
-                for rows, news in zip(unions, own):
-                    for row, new in zip(rows, news):
-                        row |= new
-                batches[-1].append(tables)
-                continue
-        batches.append([tables])
-        unions = own
-    return batches
-
-
 @functools.lru_cache(maxsize=16)
 def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
-    """(Once per grid) the grid's angles in ``_batches``, each merged once into its ``_Bins``.
+    """(Once per grid) the grid's angles in batches, each as long as its bins fit their dtypes.
 
-    No key reaches a merged row's last threshold, 2**53, so a row of at most
+    Each angle's ``_thresholds`` live only until its batch is merged.  No
+    key reaches a merged row's last threshold, 2**53, so a row of at most
     ``_STRADDLES`` thresholds bins below that sentinel.  33 angles are one batch.
     """
-    return tuple(map(_bins, _batches(map(_thresholds, upsilons))))
+    batches = [[]]
+    for tables in map(_thresholds, upsilons):
+        outcome, eve = (t.shape[1] for t in _merge(batches[-1] + [tables]))
+        if max(outcome, eve) > _STRADDLES or 8 * outcome * eve > _JOINT_CELLS:
+            batches.append([])
+        batches[-1].append(tables)
+    return tuple(map(_bins, batches))
 
 
 def _joint(bins: _Bins, disclosed: np.ndarray, draws: tuple) -> np.ndarray:

@@ -616,25 +616,8 @@ class TestSummary:
                 np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
 
 
-def merge_per_angle(per_angle):
-    """The batching rule before batches were merged once: merge the whole
-    batch with the next angle, and start a new batch when its bins outgrow
-    their dtypes."""
-    batches = [[]]
-    for tables in per_angle:
-        outcome, eve = (t.shape[1] for t in protocol._merge(batches[-1] + [tables]))
-        if max(outcome, eve) > protocol._STRADDLES or 8 * outcome * eve > 2**16:
-            batches.append([])
-        batches[-1].append(tables)
-    return batches
-
-
-def batch_ids(batches):
-    return [list(map(id, batch)) for batch in batches]
-
-
 class TestChunks:
-    """A session's chunks, from the bounds alone and through the pool, and a grid's batches."""
+    """A session's chunks, from the bounds alone and through the pool."""
 
     SIZES = [1, 2, 96, 97, 98, 3 * 97 + 1, 2**16 - 1, 2**16, 2**16 + 1, 200_000, 10**7 + 1]
 
@@ -682,28 +665,6 @@ class TestChunks:
         assert lows + [1_000] == protocol._chunk_bounds(1_000, workers, 97)
         mask = protocol.philox_stream(23, protocol.DISCLOSE_STREAM).random(1_000) < 0.4
         np.testing.assert_array_equal(np.concatenate([m for _, m in chunks]), mask)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_batches_equal_those_of_merging_the_whole_batch_per_angle(self, seed):
-        # 300 angles or more split past 255 thresholds.
-        rng = np.random.default_rng(seed)
-        grid = rng.uniform(0.0, math.pi / 2, [3, 40, 300, 420][seed]).tolist()
-        grid[rng.integers(len(grid))] = None
-        grid[rng.integers(len(grid))] = 0.0
-        grid[rng.integers(len(grid))] = grid[0]
-        per_angle = list(map(protocol._thresholds, grid))
-        batches = protocol._batches(per_angle)
-        assert batch_ids(batches) == batch_ids(merge_per_angle(per_angle))
-        assert len(batches) == [1, 1, 4, 6][seed]
-
-    def test_a_batch_may_fill_its_joint_cells_exactly(self):
-        # Made-up angles that share 63 Eve thresholds, each adding one outcome
-        # threshold: the 127th fills 8 * 128 * 64 = 2**16 joint cells.
-        eve = np.tile(np.arange(1, 64, dtype=np.uint64), (4, 1))
-        per_angle = [(np.full((4, 1), j + 1, np.uint64), eve) for j in range(300)]
-        batches = protocol._batches(per_angle)
-        assert list(map(len, batches)) == [127, 127, 46]
-        assert batch_ids(batches) == batch_ids(merge_per_angle(per_angle))
 
 
 class TestDisclosure:
