@@ -21,18 +21,18 @@ columns a round is only its row code: the key (``sift``) and the per-round
 export read the codes as they are mapped again, through 128-entry tables
 decoded from the codes, and ``round(i)`` reads one record table.  Every
 session runs chunk by chunk on one thread pool, ``_map_chunks``, and
-``_draw_chunk`` draws a chunk's words and their bucket indexes.
+``_draw_chunk`` draws a chunk's pair codes and key words.
 
 Sessions that differ only in upsilon share every draw, so
-``summarize_sweep``, and so ``run_session``, bins each chunk once against
-a grid's merged thresholds (``_Bins``) and reads every angle's histogram
-out of the summed bin counts.  ``_sweep_plan`` is the one cache of the
-sampler's law: it merges each angle's ``_thresholds`` as it is built.
-Per-round row codes are read from the same bins of each round's own
-angle: ``_joint`` gives the round's bin, whether it is counted or mapped,
-and ``_row_table`` the row that ``_cells`` counts that bin in.  Every JSON
-and CSV artifact of the package is encoded here, by ``_canonical`` and
-``_csv_line``.
+``_sweep_histograms``, and so ``run_session``, bins each chunk once
+against a grid's merged thresholds (``_Bins``) and reads every angle's
+histogram out of the summed bin counts.  ``_sweep_plan`` is the one cache
+of the sampler's law: it merges each angle's ``_thresholds`` as it is
+built.  Per-round row codes are read from the same bins of each round's
+own angle: ``_joint`` gives the round's bin, whether it is counted or
+mapped, and ``_cells`` is the one rule for which row a bin is counted in.
+Every JSON and CSV artifact of the package is encoded here, by
+``_canonical`` and ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -207,14 +207,19 @@ def _bucket_table(thresholds: np.ndarray) -> np.ndarray:
 
 
 def _look_up(buckets: np.ndarray, thresholds: np.ndarray, pair: np.ndarray,
-             index: np.ndarray, words: np.ndarray) -> np.ndarray:
+             words: np.ndarray) -> np.ndarray:
     """Per round, how many thresholds of row ``thresholds[pair]`` lie at or below its key.
 
-    The bucket table gives the count; only the rounds in straddling
-    buckets, at most one bucket per threshold, are counted by
+    A round's uint16 bucket index is ``pair << 10`` or'd with its word's top
+    10 bits, and the bucket table gives the count; only the rounds in
+    straddling buckets, at most one bucket per threshold, are counted by
     ``_count_thresholds``.  A short chunk often has none, and an empty
     compare still costs microseconds, so it is skipped.
     """
+    # Shifted as uint64 and cast on the way out, with no uint64 temporary.
+    index = np.right_shift(words, _BUCKET_SHIFT, casting="unsafe",
+                           out=np.empty(len(words), np.uint16))
+    index |= np.left_shift(pair, _BUCKET_BITS, dtype=np.uint16)
     count = buckets.take(index)
     straddling = np.flatnonzero(count == _STRADDLES)
     if len(straddling):
@@ -249,19 +254,16 @@ class _Column:
 class SessionLog:
     """A whole session: its config and its histogram of row codes or its rounds.
 
-    ``SessionLog(config, codes)`` holds the rounds of ``codes``, one row
-    code per round, as five columns: choice codes (0 = Absorb,
-    1 = Reflect), outcome codes (index into ``OUTCOME_ORDER``), Eve's
-    measurement code (-1 when absent) and the disclosure mask.
-
-    A log from ``run_session`` or ``summarize_sweep`` holds only its
-    read-only histogram.  Its bulk views, ``sift`` and the per-round
-    export, read the row codes as ``_code_pieces`` maps them
-    again, chunk by chunk; only reading a column, directly or through
-    ``round(i)``, decodes the rounds into columns.  Once a log has columns
-    they are its record: every view reads the row codes they encode, so an
-    edit made in place shows in every view.  No attribute can be
-    reassigned.
+    A log comes from ``run_session`` and holds only its read-only
+    histogram.  Its bulk views, ``sift`` and the per-round export, read the
+    row codes as ``_code_pieces`` maps them again, chunk by chunk; only
+    reading a column, directly or through ``round(i)``, decodes the rounds
+    into five columns: choice codes (0 = Absorb, 1 = Reflect), outcome
+    codes (index into ``OUTCOME_ORDER``), Eve's measurement code (-1 when
+    absent) and the disclosure mask.  Once a log has columns they are its
+    record: every view reads the row codes they encode, so an edit made in
+    place shows in every view.  No attribute can be reassigned, and there
+    is no public constructor, so every log follows from its config.
     """
 
     alice = _Column()
@@ -270,7 +272,12 @@ class SessionLog:
     eve_result = _Column()
     disclosed = _Column()
 
-    def __init__(self, config: SessionConfig, codes) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a SessionLog has no public constructor: run_session makes one")
+
+    @classmethod
+    def _of_codes(cls, config: SessionConfig, codes) -> SessionLog:
+        """A log whose columns hold the rounds of ``codes``, one row code per round."""
         codes = np.asarray(codes)
         if codes.shape != (config.n_rounds,):
             raise ValueError(f"row codes have shape {codes.shape}, not ({config.n_rounds},)")
@@ -278,8 +285,10 @@ class SessionLog:
             raise ValueError(f"row codes must be integers, got dtype {codes.dtype}")
         if codes.min() < 0 or codes.max() >= _ROW_CODES:
             raise ValueError(f"row codes must lie in [0, {_ROW_CODES})")
-        self.__dict__.update(_decode(codes.astype(np.uint8)), config=config, _histogram=None,
-                             _workers=1)
+        log = cls.__new__(cls)
+        log.__dict__.update(_decode(codes.astype(np.uint8)), config=config, _histogram=None,
+                            _workers=1)
+        return log
 
     @classmethod
     def _of_histogram(cls, config: SessionConfig, histogram, workers: int) -> SessionLog:
@@ -519,29 +528,19 @@ def _records(attack: bool) -> np.ndarray:
 
 
 def _draw_chunk(seed: int, lo: int, n: int) -> tuple:
-    """Rounds ``lo`` to ``lo + n`` for ``_joint``: pair codes, key words and bucket indexes.
+    """Rounds ``lo`` to ``lo + n`` for ``_joint``: pair codes, outcome words and Eve words.
 
     Round i's four words are Philox counter step i of the round stream,
     so the chunk draws them at its own counter step ``lo``.  A choice is
     Reflect when its uniform is at least 0.5: its word's top bit is set.
     Words 2 and 3, the outcome and Eve keys, stay strided views of the
     chunk's word array; only the few rounds in straddling buckets ever
-    have their keys shifted out.  A key's uint16 bucket index is
-    ``pair << 10`` or'd with its word's top 10 bits.
+    have their keys shifted out.
     """
     words = _philox_words(seed, ROUND_STREAM, lo, n)
     pair = (words[:, 0] >= 2**63).view(np.uint8) * 2
     pair += words[:, 1] >= 2**63
-    keys = words[:, 2], words[:, 3]
-    pair_high = pair.astype(np.uint16) << _BUCKET_BITS
-    indexes = []
-    for key_words in keys:
-        # Shifted as uint64 and cast on the way out, with no uint64 temporary.
-        index = np.right_shift(key_words, _BUCKET_SHIFT, casting="unsafe",
-                               out=np.empty(n, np.uint16))
-        index |= pair_high
-        indexes.append(index)
-    return (pair, *keys, *indexes)
+    return pair, words[:, 2], words[:, 3]
 
 
 #: A key above every key: the last threshold of every merged row.
@@ -625,17 +624,16 @@ def _sweep_plan(upsilons: tuple) -> tuple[_Bins, ...]:
 
 
 def _joint(bins: _Bins, disclosed: np.ndarray, draws: tuple) -> np.ndarray:
-    """Each round's joint bin (disclosed, pair, outcome bin, Eve bin) in ``bins``.
+    """Each round's uint16 joint bin (disclosed, pair, outcome bin, Eve bin) in ``bins``.
 
-    The index is uint8 when it fits.  A session is counted by these bins,
-    and a per-round map reads each round's row by its bin.
+    A session is counted by these bins, and a per-round map reads each
+    round's row by its bin.
     """
-    pair, w_outcome, w_eve, at_outcome, at_eve = draws
-    dtype = np.uint8 if math.prod(bins.shape) <= 2**8 else np.uint16
-    joint = np.multiply(disclosed.view(np.uint8) << 2 | pair, bins.shape[2], dtype=dtype)
-    joint += _look_up(bins.outcome_buckets, bins.outcome_thresholds, pair, at_outcome, w_outcome)
+    pair, w_outcome, w_eve = draws
+    joint = np.multiply(disclosed.view(np.uint8) << 2 | pair, bins.shape[2], dtype=np.uint16)
+    joint += _look_up(bins.outcome_buckets, bins.outcome_thresholds, pair, w_outcome)
     joint *= bins.shape[3]
-    joint += _look_up(bins.eve_buckets, bins.eve_thresholds, pair, at_eve, w_eve)
+    joint += _look_up(bins.eve_buckets, bins.eve_thresholds, pair, w_eve)
     return joint
 
 
@@ -648,38 +646,33 @@ def _bin_chunk(plan: tuple[_Bins, ...], seed: int, lo: int,
 
 
 def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
-    """Each angle's row-code histogram: four lookups in prefix sums of the summed bin counts."""
-    below = np.pad(counts.reshape(bins.shape).cumsum(2).cumsum(3), [(0, 0)] * 2 + [(1, 0)] * 2)
+    """Each angle's row-code histogram of bin counts: lookups in their 2-D prefix sums.
+
+    ``counts`` holds one count per joint bin on its last axis, and any
+    leading axes are kept: the result is shaped (*leading, angles, 128).
+    The row of a joint bin at an angle is the one cell that its count lands
+    in, so this is also the per-round map's one bin-to-row rule.
+    """
+    lead = counts.shape[:-1]
+    below = counts.reshape(*lead, *bins.shape).cumsum(-2).cumsum(-1)
+    below = np.pad(below, [(0, 0)] * (len(lead) + 2) + [(1, 0)] * 2)
     disclosed, pair = np.arange(2).reshape(2, 1, 1, 1, 1), np.arange(4).reshape(4, 1, 1)
     edges, eve = bins.outcome_edges[..., None], bins.eve_edges
-    rectangles = (below[disclosed, pair, edges[:, :, 1:], eve]
-                  - below[disclosed, pair, edges[:, :, :-1], eve])
+    rectangles = (below[..., disclosed, pair, edges[:, :, 1:], eve]
+                  - below[..., disclosed, pair, edges[:, :, :-1], eve])
     # To the histogram's axes: angle, pair, outcome, eve + 1, disclosed.
-    return np.diff(rectangles).transpose(1, 2, 3, 4, 0).reshape(-1, _ROW_CODES)
-
-
-def _row_table(bins: _Bins) -> np.ndarray:
-    """The row code of each joint bin of a one-angle ``_Bins``: at most 160 uint8 cells.
-
-    A bin's outcome code counts the angle's outcome edges at or below its
-    outcome bin, and Eve's code + 1 counts the Eve edges of its pair and
-    outcome at or below its Eve bin: the row whose ``_cells`` rectangle
-    holds the bin.
-    """
-    disclosed, pair, outcome_bin, eve_bin = np.indices(bins.shape)
-    outcome = (bins.outcome_edges[0, pair, 1:] <= outcome_bin[..., None]).sum(-1)
-    eve = (bins.eve_edges[0, pair, outcome, 1:] <= eve_bin[..., None]).sum(-1) - 1
-    return _encode(pair, outcome, eve, disclosed).ravel()
+    return np.moveaxis(np.diff(rectangles), -5, -1).reshape(*lead, -1, _ROW_CODES)
 
 
 def _code_task(config: SessionConfig):
     """The ``_map_chunks`` task of ``config``'s rounds: a chunk's (first round id, row codes).
 
-    A round's row code is read by its joint bin from its angle's one-angle
-    plan, the bins that its session is counted in.
+    A round's row code is the cell that ``_cells`` counts its joint bin in,
+    in its angle's one-angle plan, the bins that its session is counted in.
     """
     (bins,) = _sweep_plan((config.upsilon,))
-    rows = _row_table(bins)
+    identity = np.eye(math.prod(bins.shape), dtype=np.int64)
+    rows = _cells(bins, identity)[:, 0].argmax(1).astype(np.uint8)
 
     def task(lo: int, disclosed: np.ndarray) -> tuple[int, np.ndarray]:
         draws = _draw_chunk(config.seed, lo, len(disclosed))
@@ -758,20 +751,8 @@ def _sweep_histograms(config: SessionConfig, upsilons,
     return configs, np.concatenate([_cells(bins, total) for bins, total in zip(plan, totals)])
 
 
-def summarize_sweep(config: SessionConfig, upsilons, workers: int = 1) -> list[SessionLog]:
-    """The log of ``config`` at each angle of ``upsilons``, in order, from one pass.
-
-    Each log holds only its histogram, a row of ``_sweep_histograms``, and
-    equals ``run_session`` of ``config`` at that angle, for any worker
-    count.  ``security.sweep_reports`` reads the same histograms without
-    making a log.
-    """
-    configs, histograms = _sweep_histograms(config, upsilons, workers)
-    return [SessionLog._of_histogram(c, h, workers) for c, h in zip(configs, histograms)]
-
-
 def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
-    """Simulate ``config.n_rounds`` independent rounds: ``summarize_sweep`` at its own angle.
+    """Simulate ``config.n_rounds`` independent rounds: a one-angle ``_sweep_histograms``.
 
     Round i's uniforms are counter step i of the (seed, round-stream)
     generator and its disclosure uniform is double i of the (seed,
@@ -780,7 +761,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionLog:
     map the rounds again as they read them, so neither holds a column; the
     columns are decoded when one is first read.
     """
-    return summarize_sweep(config, [config.upsilon], workers)[0]
+    _, (histogram,) = _sweep_histograms(config, [config.upsilon], workers)
+    return SessionLog._of_histogram(config, histogram, workers)
 
 
 @dataclass

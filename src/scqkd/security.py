@@ -198,9 +198,9 @@ def _report(upsilon: float | None, n_d0: int, n_d1: int, n_check_d0: int) -> Sec
 def sweep_reports(config: SessionConfig, upsilon_grid, workers: int = 1) -> list[SecurityReport]:
     """Estimate ``config`` at each grid angle, in input order, from one pass and no log.
 
-    Every angle's histogram is a row of ``protocol._sweep_histograms``, the
-    array that ``summarize_sweep``'s logs hold one row each of, so each
-    report equals ``estimate_from_session`` of that angle's log.
+    Every angle's histogram is a row of ``protocol._sweep_histograms``, and
+    ``run_session`` at that angle holds the same row, so each report equals
+    ``estimate_from_session`` of that angle's log.
     """
     configs, histograms = _sweep_histograms(config, upsilon_grid, workers)
     return _reports([c.upsilon for c in configs], histograms)

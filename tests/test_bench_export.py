@@ -15,9 +15,9 @@ MACHINE = {"nproc": 2, "machine": "x86_64", "cpu_model": "Xeon", "l3_bytes": 1 <
 INFO = {"python": "3.11.7", "numpy": "2.4.6", "scqkd": "0.1.0", "ops": []}
 
 
-def record(workload, seed, rate, commit="abc123", trace=0):
+def record(workload, seed, rate, commit="abc123", trace=0, rss=None):
     metrics = {"rounds_per_s": {"value": rate, "unit": "rounds/s"},
-               "peak_rss_mb": {"value": 40.0 + seed, "unit": "MB"}}
+               "peak_rss_mb": {"value": 40.0 + seed if rss is None else rss, "unit": "MB"}}
     return {"workload": workload, "seed": seed, "seconds": 32.0, "trace": trace,
             "result": {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics},
             "machine": dict(MACHINE, git_commit=commit), "info": INFO}
@@ -84,9 +84,11 @@ def test_parent_and_change_are_compared_pair_by_pair(tmp_path):
     assert set(comparison) == {"sim"}  # a workload of one side alone is not compared
     rate = comparison["sim"]["rounds_per_s"]
     assert rate == {"better": "higher", "parent_median": 30.0, "parent_quartiles": [15.0, 45.0],
-                    "change_median": 33.0, "ratio": 1.1, "pairs": 5, "change_won": 4}
+                    "parent_iqr": 30.0, "change_median": 33.0, "ratio": 1.1, "pairs": 5,
+                    "change_won": 4, "resolved": False, "within_bound": True}
     rss = comparison["sim"]["peak_rss_mb"]  # 40 + seed on both sides: no pair is won
     assert (rss["better"], rss["parent_median"], rss["change_won"]) == ("lower", 43.0, 0)
+    assert (rss["resolved"], rss["within_bound"]) == (False, True)
     assert set(comparison["sim"]) == {"rounds_per_s", "peak_rss_mb"}  # end-to-end metrics only
 
 
@@ -96,3 +98,48 @@ def test_other_labels_get_no_comparison(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_export.main(["--out", str(out), f"parent={before}", f"after={after}"]) == 0
     assert "comparison" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("gain, won, resolved", [
+    (20.0, 9, True),  # 9 of 10 pairs and a median gap of 19 against an IQR of 5.5
+    (20.0, 8, False),  # too few pairs won, though the medians are far apart
+    (1.0, 10, False),  # every pair won, but the gap of 1 is inside the parent's IQR
+])
+def test_the_pairwise_rule_needs_the_pairs_and_the_median_gap(tmp_path, gain, won, resolved):
+    # Seeds 1-10: the parent's rate is 100 + seed (quartiles 102.75 and
+    # 108.25) and the change's is `gain` higher, but lower in the pairs it
+    # loses.  The change's peak RSS is 20% above the parent's in every pair,
+    # past the 0.1 bound; its rate is far inside the 0.25 bound.
+    parent = write(tmp_path / "parent",
+                   *(record("sim", s, 100.0 + s, "p0", rss=50.0) for s in range(1, 11)))
+    change = write(tmp_path / "change", *(
+        record("sim", s, 100.0 + s + (gain if s <= won else -1.0), "c1", rss=60.0)
+        for s in range(1, 11)))
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    comparison = json.loads(out.read_text())["comparison"]["sim"]
+    rate = comparison["rounds_per_s"]
+    assert (rate["parent_iqr"], rate["change_won"]) == (5.5, won)
+    assert (rate["resolved"], rate["within_bound"]) == (resolved, True)
+    rss = comparison["peak_rss_mb"]
+    assert (rss["parent_iqr"], rss["change_won"]) == (0.0, 0)
+    assert (rss["resolved"], rss["within_bound"]) == (False, False)
+
+
+def test_a_change_worse_by_its_bound_is_within_it(tmp_path):
+    # Rates exactly 25% below the parent's (the 0.25 bound) and 10% higher
+    # peak RSS (the 0.1 bound) are still within them; a little more is not.
+    def compared(rate_factor, rss):
+        name = f"{rate_factor}-{rss}"
+        parent = write(tmp_path / f"parent-{name}",
+                       *(record("sim", s, 8.0, "p0", rss=50.0) for s in (1, 2, 3)))
+        change = write(tmp_path / f"change-{name}",
+                       *(record("sim", s, 8.0 * rate_factor, "c1", rss=rss) for s in (1, 2, 3)))
+        out = tmp_path / f"{name}.json"
+        assert bench_export.main(["--out", str(out), f"parent={parent}",
+                                  f"change={change}"]) == 0
+        comparison = json.loads(out.read_text())["comparison"]["sim"]
+        return [comparison[m]["within_bound"] for m in ("rounds_per_s", "peak_rss_mb")]
+
+    assert compared(0.75, 55.0) == [True, True]
+    assert compared(0.74, 55.5) == [False, False]

@@ -70,7 +70,8 @@ def attacked_log(rounds):
                  dtype=np.int8),
         np.zeros(n, dtype=bool),
     )
-    return SessionLog(SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0), codes)
+    config = SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0)
+    return SessionLog._of_codes(config, codes)
 
 
 class TestEveGuess:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import OUTCOME_ORDER, Choice, Outcome
-from scqkd.protocol import SessionConfig, run_session, sift, summarize_sweep
+from scqkd.protocol import SessionConfig, run_session, sift
 from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
-from conftest import round_words, with_columns
+from conftest import mapped_codes, round_words, with_columns
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
@@ -190,17 +190,16 @@ def test_a_sweep_equals_one_session_per_angle(grid, n, seed, check_fraction, blo
     base = SessionConfig(n_rounds=n, seed=seed, check_fraction=check_fraction)
     singles = [run_session(dataclasses.replace(base, upsilon=u)) for u in grid]
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
-        sweep = summarize_sweep(base, grid, workers=workers)
+        configs, histograms = protocol._sweep_histograms(base, grid, workers)
         reports = reports_or_error(lambda: sweep_reports(base, grid, workers=workers))
-    assert [s.config for s in sweep] == [s.config for s in singles]
-    for summary, single in zip(sweep, singles):
-        np.testing.assert_array_equal(summary.histogram, single.histogram)
+    assert configs == [s.config for s in singles]
+    for histogram, single in zip(histograms, singles, strict=True):
+        np.testing.assert_array_equal(histogram, single.histogram)
     assert reports == reports_or_error(lambda: map(estimate_from_session, singles))
-    # Once a column is read, a sweep's log holds the rounds of its own session.
-    for summary, u in zip(sweep, grid):
+    # The rounds of each angle's own session, once mapped, count the same rows.
+    for histogram, u in zip(histograms, grid):
         columns = with_columns(run_session(dataclasses.replace(base, upsilon=u)))
-        assert column_digest(summary) == column_digest(columns)
-        np.testing.assert_array_equal(summary.histogram, columns.histogram)
+        np.testing.assert_array_equal(histogram, columns.histogram)
 
 
 REFLECT = protocol.CHOICES_BY_CODE.index(Choice.REFLECT)
@@ -221,14 +220,15 @@ def test_a_sorted_sweep_is_a_monotone_coupling(grid, n, seed, check_fraction, bl
     # example reaches the reports: fewer than 100 has odds below 1e-15.
     base = SessionConfig(n_rounds=n, seed=seed, check_fraction=check_fraction)
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
-        sweep = summarize_sweep(base, grid, workers=workers)
+        _, histograms = protocol._sweep_histograms(base, grid, workers)
         reports = sweep_reports(base, grid, workers=workers)
-    checked = np.array([log.histogram.reshape(protocol.HISTOGRAM_SHAPE)[REFLECT, REFLECT, ..., 1]
-                        .sum(axis=1) for log in sweep])
+    checked = (histograms.reshape(-1, *protocol.HISTOGRAM_SHAPE)[:, REFLECT, REFLECT, ..., 1]
+               .sum(axis=2))
     n_d0, n_d1 = checked[:, D0], checked[:, D1]
     assert len(set((n_d0 + n_d1).tolist())) == 1
     assert (np.diff(n_d0) >= 0).all()
-    assert [r.to_json() for r in reports] == [estimate_from_session(log).to_json() for log in sweep]
+    sessions = [run_session(dataclasses.replace(base, upsilon=u)) for u in grid]
+    assert [r.to_json() for r in reports] == [estimate_from_session(s).to_json() for s in sessions]
     visibility = [r.visibility_estimate for r in reports]
     assert visibility == sorted(visibility, reverse=True)
     secure = [r.secure for r in reports]
@@ -275,25 +275,84 @@ def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
     drawn = data.draw(st.lists(st.tuples(st.integers(0, 3), uniform_bits), min_size=n, max_size=n))
     pair = np.concatenate([pair, np.array([p for p, _ in drawn], np.uint8)])
     k = np.concatenate([k, np.array([key for _, key in drawn], np.uint64)])
-    # Bucket indexes as the session's own chunks make them, from keys k * 2**11.
+    # Pair codes and words as the session's own chunks draw them, from keys k * 2**11.
     words = round_words(pair, k << np.uint64(11), k << np.uint64(11))
     with mock.patch.object(protocol, "_philox_words", lambda *args: words):
-        pair, w_outcome, _, index, _ = protocol._draw_chunk(0, 0, len(words))
-    count = protocol._look_up(buckets, thresholds, pair, index, w_outcome)
+        pair, w_outcome, _ = protocol._draw_chunk(0, 0, len(words))
+    count = protocol._look_up(buckets, thresholds, pair, w_outcome)
     np.testing.assert_array_equal(count, (k[:, None] >= thresholds[pair]).sum(axis=1))
     # Each threshold splits at most one bucket of its row.
     assert ((buckets.reshape(4, -1) == protocol._STRADDLES).sum(axis=1) <= columns).all()
 
 
+def assert_each_bin_in_one_cell(bins, one_hot) -> np.ndarray:
+    """Each row of ``one_hot``, one joint bin's count, lands in one cell at every angle."""
+    cells = protocol._cells(bins, one_hot)
+    assert cells.shape == (len(one_hot), len(bins.outcome_edges), protocol._ROW_CODES)
+    assert cells.min() >= 0
+    np.testing.assert_array_equal(cells.sum(axis=-1), 1)
+    return cells
+
+
+def least_keys(thresholds) -> list[int]:
+    """0 and each threshold below 2**53: the least key of every bin that a key can reach."""
+    return [0, *(t for t in thresholds.tolist() if t < 2**53)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(upsilon=st.none() | st.just(0.0) | st.floats(0.0, math.pi / 2))
 def test_a_rounds_row_is_the_row_its_bin_is_counted_in(upsilon):
-    # The per-round map and the histogram share one definition: a joint bin's
-    # row code is the one cell that _cells counts a round of that bin in.
+    # The per-round map and the histogram share one rule: the row code that
+    # _code_task maps a round to is the one cell that _cells counts a round
+    # of its joint bin in.  One round per reachable joint bin: its keys are
+    # the least of their outcome and Eve bins.
     (bins,) = protocol._sweep_plan((upsilon,))
-    rows = protocol._row_table(bins)
-    assert rows.dtype == np.uint8 and len(rows) == math.prod(bins.shape) <= 160
-    for cell, one_hot in enumerate(np.eye(len(rows), dtype=np.int64)):
-        (histogram,) = protocol._cells(bins, one_hot)
-        assert np.flatnonzero(histogram).tolist() == [int(rows[cell])]
-        assert histogram[rows[cell]] == 1
+    cells = math.prod(bins.shape)
+    assert cells <= 160
+    identity = assert_each_bin_in_one_cell(bins, np.eye(cells, dtype=np.int64))[:, 0]
+    rounds = [(d, p, k_o, k_e) for p in range(4) for d in (0, 1)
+              for k_o in least_keys(bins.outcome_thresholds[p])
+              for k_e in least_keys(bins.eve_thresholds[p])]
+    disclosed, pair, k_outcome, k_eve = np.array(rounds, np.uint64).T
+    disclosed, pair = disclosed.astype(bool), pair.astype(np.uint8)
+    words = round_words(pair, k_outcome << np.uint64(11), k_eve << np.uint64(11))
+    codes = mapped_codes(upsilon, words, disclosed)
+    assert codes.dtype == np.uint8
+    outcome_bin = protocol._count_thresholds(bins.outcome_thresholds, pair, k_outcome)
+    eve_bin = protocol._count_thresholds(bins.eve_thresholds, pair, k_eve)
+    joint = np.ravel_multi_index((disclosed, pair, outcome_bin, eve_bin), bins.shape)
+    np.testing.assert_array_equal(identity[joint], np.eye(protocol._ROW_CODES)[codes])
+
+
+def test_every_joint_bin_of_the_sweep_grid_plan_lands_in_one_cell_per_angle():
+    # The benchmark's 33-angle grid is one batch of 9 520 joint bins: the
+    # whole identity, 128 bins at a time.
+    (bins,) = protocol._sweep_plan(tuple(k * (math.pi / 2) / 32 for k in range(33)))
+    cells = math.prod(bins.shape)
+    for lo in range(0, cells, 128):
+        assert_each_bin_in_one_cell(bins, np.eye(128, cells, lo, dtype=np.int64)[:cells - lo])
+
+
+#: 300 angles, None and 0 among them: four batches of up to 2**16 joint bins.
+LONG_GRID = (*np.random.default_rng(18).uniform(0.0, math.pi / 2, 298).tolist(), None, 0.0)
+
+
+def bin_coordinates(edges, size: int):
+    """A bin on one axis: every angle's edges and the bins just below them drawn often."""
+    near = sorted({b for e in edges.ravel().tolist() for b in (e - 1, e) if 0 <= b < size})
+    return st.sampled_from(near) | st.integers(0, size - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_joint_bins_of_a_multi_batch_plan_land_in_one_cell_per_angle(data):
+    # A batch's identity holds 2**32 prefix sums, so its bins are drawn.
+    plan = protocol._sweep_plan(LONG_GRID)
+    assert len(plan) > 1
+    bins = data.draw(st.sampled_from(plan))
+    drawn = data.draw(st.lists(st.tuples(
+        st.integers(0, 1), st.integers(0, 3), bin_coordinates(bins.outcome_edges, bins.shape[2]),
+        bin_coordinates(bins.eve_edges, bins.shape[3])), min_size=1, max_size=32))
+    one_hot = np.zeros((len(drawn), math.prod(bins.shape)), np.int64)
+    one_hot[np.arange(len(drawn)), np.ravel_multi_index(np.array(drawn).T, bins.shape)] = 1
+    assert_each_bin_in_one_cell(bins, one_hot)

@@ -30,7 +30,6 @@ from scqkd.protocol import (
     SessionLog,
     run_session,
     sift,
-    summarize_sweep,
 )
 
 from conftest import d0_rounds, mapped_codes, peak_traced_mb, round_words, with_columns
@@ -63,8 +62,8 @@ def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
         np.asarray(eve if eve is not None else [-1] * n, dtype=np.int8),
         np.asarray(disclosed if disclosed is not None else [False] * n, dtype=bool),
     )
-    return SessionLog(SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0),
-                      codes)
+    config = SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0)
+    return SessionLog._of_codes(config, codes)
 
 
 class TestSessionConfig:
@@ -130,15 +129,22 @@ class TestSessionLogColumns:
     CODE = int(protocol._encode(np.ones(1, np.uint8), np.zeros(1, np.uint8),
                                 np.full(1, -1, np.int8), np.zeros(1, bool))[0])
 
+    @pytest.mark.parametrize("args", [(), (SessionConfig(n_rounds=1), [CODE])])
+    def test_a_log_has_no_public_constructor(self, args):
+        # Every log follows from its config: only run_session makes one.
+        with pytest.raises(TypeError, match="no public constructor"):
+            SessionLog(*args)
+
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
     def test_wrong_length_rejected_by_name(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"row codes have shape {shape}")):
-            SessionLog(SessionConfig(n_rounds=2), np.full(shape, self.CODE, np.uint8))
+            SessionLog._of_codes(SessionConfig(n_rounds=2),
+                                 np.full(shape, self.CODE, np.uint8))
 
     @pytest.mark.parametrize("dtype", [np.float64, bool, object])
     def test_non_integer_codes_rejected_by_name(self, dtype):
         with pytest.raises(ValueError, match="row codes must be integers"):
-            SessionLog(SessionConfig(n_rounds=2), np.zeros(2, dtype))
+            SessionLog._of_codes(SessionConfig(n_rounds=2), np.zeros(2, dtype))
 
     @pytest.mark.parametrize(
         "dtype, value",
@@ -148,19 +154,19 @@ class TestSessionLogColumns:
     def test_out_of_range_codes_rejected_by_name(self, dtype, value):
         codes = np.array([self.CODE, value], dtype)
         with pytest.raises(ValueError, match=r"row codes must lie in \[0, 128\)"):
-            SessionLog(SessionConfig(n_rounds=2), codes)
+            SessionLog._of_codes(SessionConfig(n_rounds=2), codes)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
     def test_any_integer_dtype_of_codes_gives_the_same_columns(self, dtype):
         codes = np.arange(protocol._ROW_CODES)
         expected = protocol._decode(codes.astype(np.uint8))
-        log = SessionLog(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
+        log = SessionLog._of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
         for name, column in expected.items():
             np.testing.assert_array_equal(getattr(log, name), column)
             assert getattr(log, name).dtype == column.dtype
 
     def test_columns_are_edited_in_place_but_never_reassigned(self):
-        log = SessionLog(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
+        log = SessionLog._of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
         log.outcome[1] = OUTCOME_ORDER.index(Outcome.D1)
         assert log.counters[("Absorb", "Reflect", "D0")] == 1
         assert log.counters[("Absorb", "Reflect", "D1")] == 1
@@ -359,7 +365,7 @@ class TestRoundView:
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
     def test_eve_result_shows_only_on_an_attacked_sessions_d0_rounds(self, upsilon):
         # Every row code once, Eve's results on rounds of every outcome included.
-        log = SessionLog(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
+        log = SessionLog._of_codes(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
         rows = json.loads(log.to_json(include_rounds=True))["rounds"]
         key = iter(sift(log).eve_guesses.tolist())
         for code, rec, row in zip(range(128), map(log.round, range(128)), rows, strict=True):
@@ -412,8 +418,8 @@ class TestRunSession:
 
     @pytest.mark.parametrize("session", [
         run_session,
-        lambda config, workers: summarize_sweep(config, [config.upsilon], workers),
-    ], ids=["run_session", "summarize_sweep"])
+        lambda config, workers: protocol._sweep_histograms(config, [config.upsilon], workers),
+    ], ids=["run_session", "_sweep_histograms"])
     @pytest.mark.parametrize("workers", [True, 2.0])
     def test_bool_or_float_worker_count_rejected(self, session, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -480,7 +486,7 @@ class TestSummary:
 
     def test_stored_histograms_cannot_be_written(self):
         config = SessionConfig(n_rounds=1_000, seed=12)
-        for session in (run_session(config), *summarize_sweep(config, [0.0, math.pi / 4])):
+        for session in (run_session(replace(config, upsilon=u)) for u in (None, 0.0, math.pi / 4)):
             with pytest.raises(ValueError):
                 session.histogram[0] += 1
 
@@ -519,7 +525,7 @@ class TestSummary:
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            summarize_sweep(SessionConfig(n_rounds=10), [None], workers=0)
+            protocol._sweep_histograms(SessionConfig(n_rounds=10), [None], workers=0)
 
     def test_many_workers_on_small_chunks_lose_no_round(self):
         config = SessionConfig(n_rounds=20_000, upsilon=math.pi / 3, seed=15)
@@ -580,10 +586,10 @@ class TestSummary:
             assert math.prod(bins.shape) <= 2**16  # a uint16 joint index
         config = SessionConfig(n_rounds=3_000, seed=19)
         with mock.patch.object(protocol, "SAMPLING_BLOCK", 1_024):
-            sweep = summarize_sweep(config, grid, workers=workers)
-        for log, upsilon in zip(sweep, grid, strict=True):
+            _, histograms = protocol._sweep_histograms(config, grid, workers)
+        for histogram, upsilon in zip(histograms, grid, strict=True):
             single = run_session(replace(config, upsilon=upsilon))
-            np.testing.assert_array_equal(log.histogram, single.histogram)
+            np.testing.assert_array_equal(histogram, single.histogram)
 
     def test_a_merged_row_stays_below_the_straddling_sentinel(self):
         # 130 made-up angles without Eve, each adding two outcome thresholds to

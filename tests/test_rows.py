@@ -145,8 +145,8 @@ def test_sessions_cover_every_reachable_row(sessions):
 def test_any_columns_render_like_the_reference(n, upsilon, seed):
     """Uniformly random codes, reachable or not, as a hand-built log may hold."""
     rng = np.random.default_rng(seed)
-    log = SessionLog(SessionConfig(n, upsilon=upsilon),
-                     rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
+    log = SessionLog._of_codes(SessionConfig(n, upsilon=upsilon),
+                               rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
     assert_rows_match_reference(log)
 
 

@@ -16,8 +16,12 @@ pairs their runs by seed.  Per workload and end-to-end metric of
 ``BENCHMARK.json`` it gives, over those pairs, the parent's median and
 quartiles (``statistics.quantiles``), the change's median, their ratio
 (change / parent) and the pairs the change won: those where it reads
-better in the metric's ``better`` direction.  It changes no workload,
-metric or bound.
+better in the metric's ``better`` direction.  It also applies the pairwise
+rule: a change is ``resolved`` when it won at least 9 in 10 of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range (``parent_iqr``), and ``within_bound`` when its median
+is not worse than the parent's by more than the metric's relative
+``bound``.  It changes no workload, metric or bound.
 """
 
 from __future__ import annotations
@@ -93,14 +97,19 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             before = [p for p, _ in paired]
             q1, median, q3 = statistics.quantiles(before, n=4)
             after = statistics.median(c for _, c in paired)
+            won = sum(c > p if higher else c < p for p, c in paired)
+            gain = after - median if higher else median - after
             metrics[name] = {
                 "better": metric["better"],
                 "parent_median": median,
                 "parent_quartiles": [q1, q3],
+                "parent_iqr": q3 - q1,
                 "change_median": after,
                 "ratio": after / median,
                 "pairs": len(paired),
-                "change_won": sum(c > p if higher else c < p for p, c in paired),
+                "change_won": won,
+                "resolved": 10 * won >= 9 * len(paired) and gain > q3 - q1,
+                "within_bound": gain >= -metric["bound"] * median,
             }
         comparison[workload] = metrics
     return comparison
