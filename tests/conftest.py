@@ -22,6 +22,19 @@ def round_words(pair, w_outcome, w_eve):
     return words
 
 
+def row_codes(pair, outcome, eve, disclosed) -> np.ndarray:
+    """Row codes of rounds with these pair, outcome and Eve codes (-1 when absent) and mask.
+
+    A code is the flat index of (alice, bob, outcome, Eve + 1, disclosed) in
+    ``HISTOGRAM_SHAPE``: the layout written down once, not read from the
+    protocol's encoder.
+    """
+    pair = np.asarray(pair)
+    return np.ravel_multi_index(
+        (pair >> 1, pair & 1, outcome, np.asarray(eve, np.int64) + 1, disclosed),
+        protocol.HISTOGRAM_SHAPE)
+
+
 def mapped_codes(upsilon, words, disclosed):
     """Row codes that ``_code_task`` maps one chunk of round-stream ``words`` to at ``upsilon``."""
     task = protocol._code_task(SessionConfig(n_rounds=len(words), upsilon=upsilon))
@@ -42,7 +55,7 @@ def draw_pair(alice, bob, upsilon, n, rng, given_d0=False):
     pair = np.full(n, 2 * CHOICES_BY_CODE.index(alice) + CHOICES_BY_CODE.index(bob), np.uint8)
     w_outcome = np.zeros(n, np.uint64) if given_d0 else rng.bit_generator.random_raw(n)
     words = round_words(pair, w_outcome, rng.bit_generator.random_raw(n))
-    columns = protocol._decode(mapped_codes(upsilon, words, np.zeros(n, bool)))
+    columns = protocol._ROWS[mapped_codes(upsilon, words, np.zeros(n, bool))]
     return columns["outcome"], columns["eve_result"]
 
 
@@ -52,7 +65,7 @@ def draw_pair_fixture():
 
 
 def with_columns(log):
-    """``log`` once a column has been read: its five columns are then its record."""
+    """``log`` once a column has been read: its record then holds its rounds."""
     log.outcome
     return log
 

@@ -85,10 +85,11 @@ def test_parent_and_change_are_compared_pair_by_pair(tmp_path):
     rate = comparison["sim"]["rounds_per_s"]
     assert rate == {"better": "higher", "parent_median": 30.0, "parent_quartiles": [15.0, 45.0],
                     "parent_iqr": 30.0, "change_median": 33.0, "ratio": 1.1, "pairs": 5,
-                    "change_won": 4, "resolved": False, "within_bound": True}
+                    "change_won": 4, "resolved": False, "within_bound": True,
+                    "unresolved": True}  # an IQR of 30 is past 0.25 of the median
     rss = comparison["sim"]["peak_rss_mb"]  # 40 + seed on both sides: no pair is won
     assert (rss["better"], rss["parent_median"], rss["change_won"]) == ("lower", 43.0, 0)
-    assert (rss["resolved"], rss["within_bound"]) == (False, True)
+    assert (rss["resolved"], rss["within_bound"], rss["unresolved"]) == (False, True, False)
     assert set(comparison["sim"]) == {"rounds_per_s", "peak_rss_mb"}  # end-to-end metrics only
 
 
@@ -143,3 +144,26 @@ def test_a_change_worse_by_its_bound_is_within_it(tmp_path):
 
     assert compared(0.75, 55.0) == [True, True]
     assert compared(0.74, 55.5) == [False, False]
+
+
+@pytest.mark.parametrize("step, rate_shift, rss_shift, unresolved", [
+    (10.0, 1.0, 0.0, True),  # spread past both bounds, and the change's runs mix with the parent's
+    (10.0, 200.0, -30.0, False),  # as wide, but every change run reads better than every parent run
+    (1.0, 1.0, 0.0, False),  # mixed runs, but the spread lies inside both bounds
+])
+def test_a_spread_wider_than_its_bound_is_unresolved(tmp_path, step, rate_shift, rss_shift,
+                                                     unresolved):
+    # Seeds 1-10: the parent's rate is 100 + step * seed and its peak RSS
+    # 50 + step * seed / 5.  At step 10 their IQRs, 55 and 11, pass 0.25 of
+    # the rate's median (38.75) and 0.1 of the RSS's (6.1); at step 1 they
+    # do not.  Each change run is its parent run shifted by a fixed amount.
+    parent = write(tmp_path / "parent", *(
+        record("sim", s, 100.0 + step * s, "p0", rss=50.0 + step * s / 5) for s in range(1, 11)))
+    change = write(tmp_path / "change", *(
+        record("sim", s, 100.0 + step * s + rate_shift, "c1", rss=50.0 + step * s / 5 + rss_shift)
+        for s in range(1, 11)))
+    out = tmp_path / "BENCH.json"
+    assert bench_export.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    comparison = json.loads(out.read_text())["comparison"]["sim"]
+    assert [comparison[m]["unresolved"] for m in ("rounds_per_s", "peak_rss_mb")] == [
+        unresolved, unresolved]

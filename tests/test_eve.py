@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from scqkd import protocol
 from scqkd.core import (
     OUTCOME_ORDER,
     Choice,
@@ -16,6 +15,8 @@ from scqkd.core import (
 )
 from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_information
 from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session, sift
+
+from conftest import row_codes
 
 UPSILONS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -62,7 +63,7 @@ class TestEveMeasure:
 def attacked_log(rounds):
     """An attacked log of undisclosed (alice, bob, outcome, Eve's result or None) rounds."""
     n = len(rounds)
-    codes = protocol._encode(
+    codes = row_codes(
         np.array([2 * CHOICES_BY_CODE.index(r[0]) + CHOICES_BY_CODE.index(r[1]) for r in rounds],
                  dtype=np.uint8),
         np.array([OUTCOME_ORDER.index(r[2]) for r in rounds], dtype=np.uint8),

@@ -127,7 +127,7 @@ def test_the_streamed_export_equals_the_column_export(n, upsilon, seed, check_fr
             mock.patch.object(protocol, "_PIECE_ROWS", piece):
         log = run_session(config, workers=workers)
         streamed = "".join(log._document(fmt))
-        assert "outcome" not in vars(log)
+        assert "_rounds" not in vars(log)
         assert streamed == "".join(with_columns(log)._document(fmt))
 
 
@@ -152,7 +152,7 @@ def test_bulk_views_leave_a_log_unmapped_and_agree_with_its_columns(config, bloc
         log = run_session(config, workers=workers)
         views = [*key_arrays(log), log.histogram]
         csv = log.to_csv()
-        assert "outcome" not in log.__dict__
+        assert "_rounds" not in vars(log)
         mapped = with_columns(run_session(config, workers=workers))
         assert_same_arrays(views, [*key_arrays(mapped), mapped.histogram])
         assert csv == mapped.to_csv()

@@ -32,7 +32,7 @@ from scqkd.protocol import (
     sift,
 )
 
-from conftest import d0_rounds, mapped_codes, peak_traced_mb, round_words, with_columns
+from conftest import d0_rounds, mapped_codes, peak_traced_mb, round_words, row_codes, with_columns
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -56,7 +56,7 @@ def scalar_draw(probabilities, u: float) -> int:
 
 def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
     n = len(alice)
-    codes = protocol._encode(
+    codes = row_codes(
         np.asarray(alice, dtype=np.uint8) * 2 + np.asarray(bob, dtype=np.uint8),
         np.asarray(outcome, dtype=np.uint8),
         np.asarray(eve if eve is not None else [-1] * n, dtype=np.int8),
@@ -126,8 +126,8 @@ class TestSessionConfig:
 
 class TestSessionLogColumns:
     #: Absorb/Reflect, D0, no Eve result, not disclosed.
-    CODE = int(protocol._encode(np.ones(1, np.uint8), np.zeros(1, np.uint8),
-                                np.full(1, -1, np.int8), np.zeros(1, bool))[0])
+    CODE = int(row_codes(np.ones(1, np.uint8), np.zeros(1, np.uint8), np.full(1, -1, np.int8),
+                         np.zeros(1, bool))[0])
 
     @pytest.mark.parametrize("args", [(), (SessionConfig(n_rounds=1), [CODE])])
     def test_a_log_has_no_public_constructor(self, args):
@@ -159,11 +159,11 @@ class TestSessionLogColumns:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
     def test_any_integer_dtype_of_codes_gives_the_same_columns(self, dtype):
         codes = np.arange(protocol._ROW_CODES)
-        expected = protocol._decode(codes.astype(np.uint8))
+        expected = protocol._ROWS[codes]
         log = SessionLog._of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
-        for name, column in expected.items():
-            np.testing.assert_array_equal(getattr(log, name), column)
-            assert getattr(log, name).dtype == column.dtype
+        for name in expected.dtype.names:
+            np.testing.assert_array_equal(getattr(log, name), expected[name])
+            assert getattr(log, name).dtype == expected[name].dtype
 
     def test_columns_are_edited_in_place_but_never_reassigned(self):
         log = SessionLog._of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
@@ -175,6 +175,19 @@ class TestSessionLogColumns:
                 setattr(log, name, getattr(log, name).copy())
         with pytest.raises(AttributeError, match="fixed"):
             log.config = SessionConfig(n_rounds=3)
+
+    @pytest.mark.parametrize("name, value", [("alice", 2), ("bob", 2), ("outcome", 4),
+                                             ("eve_result", 5), ("eve_result", -2)])
+    def test_a_column_edited_out_of_range_is_no_other_row(self, name, value):
+        # Code 16 is an Absorb/Absorb round; outcome 4 once counted it as an
+        # Absorb/Reflect D0 round, a key round, and Eve's 5 as code 28.
+        log = SessionLog._of_codes(SessionConfig(n_rounds=2), [16, 16])
+        getattr(log, name)[0] = value
+        for view in (lambda: log.histogram, lambda: log.counters, lambda: sift(log), log.to_csv,
+                     lambda: log.to_json(include_rounds=True), lambda: log.round(0)):
+            with pytest.raises(ValueError):
+                view()
+        assert log.round(1) == SessionLog._of_codes(SessionConfig(n_rounds=2), [16, 16]).round(1)
 
 
 class TestSampler:
@@ -200,8 +213,8 @@ class TestSampler:
                 [rng.bit_generator.random_raw((500, 2)), np.stack([edges, edges[::-1]], 1)]
             )
             pairs = np.full(len(words), pair, np.uint8)
-            columns = protocol._decode(mapped_codes(
-                upsilon, round_words(pairs, words[:, 0], words[:, 1]), np.zeros(len(words), bool)))
+            columns = protocol._ROWS[mapped_codes(
+                upsilon, round_words(pairs, words[:, 0], words[:, 1]), np.zeros(len(words), bool))]
             outcome, eve = columns["outcome"], columns["eve_result"]
             for row, (w_outcome, w_eve) in enumerate(words.tolist()):
                 u_outcome, u_eve = (w_outcome >> 11) * 2.0**-53, (w_eve >> 11) * 2.0**-53
@@ -245,7 +258,7 @@ class TestSampler:
                 if eve_thresholds is not None:
                     d0 = outcome == OUTCOME_ORDER.index(Outcome.D0)
                     eve[d0] = protocol._count_thresholds(eve_thresholds, pair[d0], k_eve[d0])
-                expected = protocol._encode(pair, outcome, eve, disclosed)
+                expected = row_codes(pair, outcome, eve, disclosed)
                 np.testing.assert_array_equal(mapped_codes(upsilon, words, disclosed), expected)
                 # The binned histogram, every (pair, outcome, Eve, disclosed) cell of it.
                 np.testing.assert_array_equal(histogram, np.bincount(expected, minlength=128))
@@ -498,11 +511,13 @@ class TestSummary:
         # The per-round export maps the rounds again and keeps no column.
         assert log.to_json(include_rounds=True) == eager.to_json(include_rounds=True)
         assert log.to_csv() == eager.to_csv()
-        assert not {"alice", "bob", "outcome", "eve_result", "disclosed"} & set(vars(log))
-        assert log.outcome is log.outcome
+        assert "_rounds" not in vars(log)
+        outcome = log.outcome
         assert log.to_json(include_rounds=True) == eager.to_json(include_rounds=True)
-        # Once mapped, the columns are the record: an edit shows in every view.
-        log.outcome[0] = (log.outcome[0] + 1) % 4
+        # Once mapped, the record is the log's: an edit made through one read
+        # of a column shows in the next read and in every view.
+        outcome[0] = (outcome[0] + 1) % 4
+        assert log.outcome[0] == outcome[0] != eager.outcome[0]
         assert log.to_json() != eager.to_json()
         assert log.to_csv() != eager.to_csv()
 
@@ -617,7 +632,7 @@ class TestSummary:
                                  _sweep_plan=protocol._sweep_plan.__wrapped__):
             for (angle, (thresholds, _)), histogram in zip(fake.items(), histograms, strict=True):
                 outcome = protocol._count_thresholds(thresholds, pair, words[:, 2] >> 11)
-                expected = protocol._encode(pair, outcome, eve, disclosed)
+                expected = row_codes(pair, outcome, eve, disclosed)
                 np.testing.assert_array_equal(histogram, np.bincount(expected, minlength=128))
                 np.testing.assert_array_equal(mapped_codes(angle, words, disclosed), expected)
 
@@ -758,7 +773,7 @@ class TestSift:
         log = run_session(SessionConfig(n_rounds=4_000_000, upsilon=math.pi / 6, seed=84))
         sift(run_session(SessionConfig(n_rounds=10)))  # numpy's lazy imports, untraced
         assert peak_traced_mb(lambda: sift(log)) < 6
-        assert "outcome" not in vars(log)
+        assert "_rounds" not in vars(log)
 
     def test_empty_key_rejects_rates(self):
         log = manual_log(alice=[1], bob=[1], outcome=[1])

@@ -23,6 +23,8 @@ from scqkd import protocol
 from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
 from scqkd.protocol import SessionConfig, SessionLog, run_session
 
+from conftest import row_codes
+
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
 CHECK_FRACTIONS = [0.0, 0.5, 1.0]
 ROUNDS = 5_000
@@ -148,6 +150,46 @@ def test_any_columns_render_like_the_reference(n, upsilon, seed):
     log = SessionLog._of_codes(SessionConfig(n, upsilon=upsilon),
                                rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
     assert_rows_match_reference(log)
+
+
+#: In-range values of each column.
+COLUMN_VALUES = {"alice": [0, 1], "bob": [0, 1], "outcome": [0, 1, 2, 3],
+                 "eve_result": [-1, 0, 1, 2], "disclosed": [False, True]}
+
+
+def code_of(log, i: int) -> int:
+    """Round ``i``'s row code, encoded from its columns."""
+    return int(row_codes(2 * log.alice[i:i + 1] + log.bob[i:i + 1], log.outcome[i:i + 1],
+                         log.eve_result[i:i + 1], log.disclosed[i:i + 1])[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3_000),
+       upsilon=st.sampled_from(UPSILONS) | st.floats(0.0, math.pi / 2),
+       seed=st.integers(0, 2**64 - 1), check_fraction=st.floats(0.0, 1.0),
+       workers=st.integers(1, 3))
+def test_an_edit_in_place_moves_one_count_and_one_row(data, n, upsilon, seed, check_fraction,
+                                                      workers):
+    """Setting one entry of a column to another value moves that round alone to its new row."""
+    log = run_session(SessionConfig(n, upsilon=upsilon, seed=seed, check_fraction=check_fraction),
+                      workers=workers)
+    histogram, lines = log.histogram.copy(), log.to_csv().splitlines()
+    i = data.draw(st.integers(0, n - 1), label="round")
+    name = data.draw(st.sampled_from(sorted(COLUMN_VALUES)), label="column")
+    column = getattr(log, name)
+    value = data.draw(st.sampled_from([v for v in COLUMN_VALUES[name] if v != column[i]]),
+                      label="value")
+    old = code_of(log, i)
+    column[i] = value
+    new = code_of(log, i)
+    assert new != old
+    histogram[old] -= 1
+    histogram[new] += 1
+    np.testing.assert_array_equal(log.histogram, histogram)
+    edited = log.to_csv().splitlines()
+    assert len(edited) == len(lines)
+    assert [j for j, (a, b) in enumerate(zip(lines, edited)) if a != b and j != i + 1] == []
+    assert edited[i + 1] == reference_csv_line(reference_rows(log, [i])[0])
 
 
 #: Sessions whose round ids cross each digit width up to 9_999 / 10_000.

@@ -21,7 +21,11 @@ rule: a change is ``resolved`` when it won at least 9 in 10 of the pairs
 and its median is better than the parent's by more than the parent's
 interquartile range (``parent_iqr``), and ``within_bound`` when its median
 is not worse than the parent's by more than the metric's relative
-``bound``.  It changes no workload, metric or bound.
+``bound``.  A metric is ``unresolved`` when the parent's own runs spread
+wider than the bound (``parent_iqr`` above ``bound`` times the parent's
+median) and not every change run reads better than every parent run: its
+pairs can then show neither a regression nor its absence.  It changes no
+workload, metric or bound.
 """
 
 from __future__ import annotations
@@ -94,10 +98,11 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             paired = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
             if len(paired) < 2:
                 continue
-            before = [p for p, _ in paired]
+            before, changed = ([p for p, _ in paired], [c for _, c in paired])
             q1, median, q3 = statistics.quantiles(before, n=4)
-            after = statistics.median(c for _, c in paired)
+            after = statistics.median(changed)
             won = sum(c > p if higher else c < p for p, c in paired)
+            apart = min(changed) > max(before) if higher else max(changed) < min(before)
             gain = after - median if higher else median - after
             metrics[name] = {
                 "better": metric["better"],
@@ -110,6 +115,7 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                 "change_won": won,
                 "resolved": 10 * won >= 9 * len(paired) and gain > q3 - q1,
                 "within_bound": gain >= -metric["bound"] * median,
+                "unresolved": q3 - q1 > metric["bound"] * median and not apart,
             }
         comparison[workload] = metrics
     return comparison
