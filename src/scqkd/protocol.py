@@ -274,7 +274,7 @@ class SessionLog:
 
     @classmethod
     def _of_codes(cls, config: SessionConfig, codes) -> SessionLog:
-        """A log whose columns hold the rounds of ``codes``, one row code per round."""
+        """A log whose record holds the rounds of ``codes``, one row code per round."""
         codes = np.asarray(codes)
         if codes.shape != (config.n_rounds,):
             raise ValueError(f"row codes have shape {codes.shape}, not ({config.n_rounds},)")
