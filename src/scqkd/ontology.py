@@ -20,6 +20,7 @@ exactly the gap a probe-coupling eavesdropper closes.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -36,6 +37,8 @@ SCENARIO_OUTCOMES = (
 )
 
 OPS = (Choice.ABSORB.value, Choice.REFLECT.value)
+#: The (alice op, bob op) keys of every scenario table.
+_OP_PAIRS = frozenset(itertools.product(OPS, OPS))
 
 #: What each terminal outcome looks like from Alice's station.  Bob-side
 #: absorption is invisible to her; retrodiction may only condition on the
@@ -74,9 +77,10 @@ class Classification(enum.Enum):
 class ScenarioTable:
     """Measured conditional probabilities for one transmission scenario.
 
-    ``p_outcome_given_ops`` maps (alice op, bob op) to a distribution over
-    ``SCENARIO_OUTCOMES``.  ``p_bob_detects_given_block`` is the chance
-    Bob's own detector fires when he blocks while the entity is in transit.
+    ``p_outcome_given_ops`` maps each (alice op, bob op) of ``OPS`` × ``OPS``,
+    and no other key, to a distribution over ``SCENARIO_OUTCOMES``.
+    ``p_bob_detects_given_block`` is the chance Bob's own detector fires when
+    he blocks while the entity is in transit.
     """
 
     name: str
@@ -95,6 +99,10 @@ class ScenarioTable:
                     raise ValueError(f"unknown outcome label {outcome!r}")
                 if not -1e-12 <= p <= 1.0 + 1e-12:
                     raise ValueError(f"probability out of range for {ops}/{outcome}")
+        pairs = set(self.p_outcome_given_ops)
+        for problem, found in (("unknown", pairs - _OP_PAIRS), ("missing", _OP_PAIRS - pairs)):
+            if found:
+                raise ValueError(f"{problem} operation pair {', '.join(sorted(map(repr, found)))}")
 
     def _observations(self) -> dict[tuple[str, str], tuple[float, float | None]]:
         """(occurrence, P(Bob blocked | it)) per (Alice's op, local observation).

@@ -126,11 +126,6 @@ class SessionConfig:
             object.__setattr__(self, "upsilon", float(self.upsilon) + 0.0)
         object.__setattr__(self, "check_fraction", float(self.check_fraction) + 0.0)
 
-    @property
-    def attack_active(self) -> bool:
-        """True when an eavesdropper with a distinguishable probe is present."""
-        return self.upsilon is not None and self.upsilon > 0.0
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -261,9 +256,10 @@ class SessionLog:
     ``disclosed`` are that record's fields, writable views of it.  Once a
     log has a record, every view reads the row codes it encodes, so an edit
     made in place shows in every view, and a field edited outside its axis
-    of ``HISTOGRAM_SHAPE`` raises ``ValueError`` there.  No attribute can be
-    reassigned, and there is no public constructor, so every log follows
-    from its config.
+    of ``HISTOGRAM_SHAPE`` raises ``ValueError`` there.  No view reads the
+    config's angle: a row code means the same in every log.  No attribute
+    can be reassigned, and ``run_session`` is the only constructor, so every
+    log follows from its config and the edits made to it.
     """
 
     alice, bob, outcome, eve_result, disclosed = (
@@ -271,20 +267,6 @@ class SessionLog:
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("a SessionLog has no public constructor: run_session makes one")
-
-    @classmethod
-    def _of_codes(cls, config: SessionConfig, codes) -> SessionLog:
-        """A log whose record holds the rounds of ``codes``, one row code per round."""
-        codes = np.asarray(codes)
-        if codes.shape != (config.n_rounds,):
-            raise ValueError(f"row codes have shape {codes.shape}, not ({config.n_rounds},)")
-        if codes.dtype.kind not in "iu":
-            raise ValueError(f"row codes must be integers, got dtype {codes.dtype}")
-        if codes.min() < 0 or codes.max() >= _ROW_CODES:
-            raise ValueError(f"row codes must lie in [0, {_ROW_CODES})")
-        log = cls.__new__(cls)
-        log.__dict__.update(config=config, _rounds=_ROWS.take(codes))
-        return log
 
     @classmethod
     def _of_histogram(cls, config: SessionConfig, histogram, workers: int) -> SessionLog:
@@ -340,7 +322,7 @@ class SessionLog:
         if not 0 <= i < len(self):
             raise IndexError(f"round {i} is outside [0, {len(self)})")
         (code,) = _codes(self._rounds[i:i + 1])
-        return RoundRecord(int(i), *_records(self.config.attack_active)[code])
+        return RoundRecord(int(i), *_records()[code])
 
     def _code_pieces(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first round id, row codes) per ``_PIECE_ROWS`` rounds: from the record, or mapped.
@@ -364,7 +346,7 @@ class SessionLog:
         made once per ten rounds and empty below 10, then the last digit,
         which the tail table folds into the tail.
         """
-        heads, tails = _row_templates(self.config.attack_active, fmt)
+        heads, tails = _row_templates(fmt)
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
             yield self.to_json()[:-2] + ',"rounds":['
@@ -431,14 +413,14 @@ _ROW_FORMATS = {
 }
 
 
-@functools.lru_cache(maxsize=4)
-def _row_templates(attack: bool, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=2)
+def _row_templates(fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Heads and tails of the rows in ``fmt``: ``heads[code]`` and ``tails[digit, code]``.
 
     A row is its code's head, its round id and its code's tail; the tail
     table starts each tail with the round id's last digit.  Each code's row
-    is rendered once, from its record in ``_records(attack)``, with a
-    marker for its round id.
+    is rendered once, from its record in ``_records()``, with a marker for
+    its round id, so a code renders alike in every log.
     """
     render = _ROW_FORMATS[fmt]
     split = [
@@ -452,7 +434,7 @@ def _row_templates(attack: bool, fmt: str) -> tuple[np.ndarray, np.ndarray]:
             "sifted": rec.sifted,
             "disclosed": rec.disclosed_for_check,
         }).partition(str(_ROUND_ID_MARK))
-        for rec in (RoundRecord(_ROUND_ID_MARK, *fields) for fields in _records(attack))
+        for rec in (RoundRecord(_ROUND_ID_MARK, *fields) for fields in _records())
     ]
     heads = np.array([head for head, _, _ in split], dtype=object)
     tails = np.array([[str(digit) + tail for _, _, tail in split] for digit in range(10)],
@@ -471,31 +453,30 @@ def _codes(rounds: np.ndarray) -> np.ndarray:
                                  rounds["eve_result"] + 1, rounds["disclosed"]), HISTOGRAM_SHAPE)
 
 
-#: Per row code: a key round (D0 and not disclosed), Bob's bit and, per
-#: attack flag, Eve's guess of the bit, -1 when she has none.  Alice's bit is
-#: her choice code.
+#: Per row code: a key round (D0 and not disclosed), Bob's bit and Eve's
+#: guess of the bit, -1 when she has none.  Alice's bit is her choice code.
 _KEY_ROW = (_ROWS["outcome"] == _D0) & ~_ROWS["disclosed"]
 _BOB_BIT = 1 - _ROWS["bob"]
 # Plus (code 0) puts the photon in the external arm: Alice absorbed, bit 0.
-# Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.
-_EVE_GUESS = np.stack([np.full(_ROW_CODES, -1),
-                       np.where(_ROWS["eve_result"] <= 1, _ROWS["eve_result"], -1)]).astype(np.int8)
+# Minus (code 1) puts it in the internal arm: Alice reflected, bit 1.  The
+# sampler writes Eve's code only on the D0 rows of an attacked session.
+_EVE_GUESS = np.where(_ROWS["eve_result"] <= 1, _ROWS["eve_result"], -1).astype(np.int8)
 
 
-@functools.lru_cache(maxsize=2)
-def _records(attack: bool) -> tuple[tuple, ...]:
+@functools.lru_cache(maxsize=1)
+def _records() -> tuple[tuple, ...]:
     """Each row code's ``RoundRecord`` fields after the round id, indexed by the code.
 
     One tuple per entry of ``_ROWS``; ``RoundRecord(i, *fields)`` is a
-    round's record.  Eve's result shows only on the D0 rounds of an
-    attacked session.
+    round's record.  Eve's result shows exactly when the row holds her code
+    on a D0 outcome, which the sampler writes only in an attacked session.
     """
     records = []
     for alice, bob, outcome, eve, disclosed in _ROWS.tolist():
         d0 = outcome == _D0
         records.append((CHOICES_BY_CODE[alice], CHOICES_BY_CODE[bob], OUTCOME_ORDER[outcome],
                         Announcement.D0 if d0 else Announcement.NOT_D0,
-                        EVE_OUTCOME_ORDER[eve] if attack and d0 and eve >= 0 else None, d0,
+                        EVE_OUTCOME_ORDER[eve] if d0 and eve >= 0 else None, d0,
                         disclosed))
     return tuple(records)
 
@@ -743,8 +724,9 @@ class SiftedKey:
     """Raw key bits from announced D0 rounds not disclosed for checking.
 
     ``eve_guesses`` holds Eve's bit guess per position (-1 when she has
-    none: inconclusive measurement or no attack), as ``round(i)`` and the
-    export show her result.
+    none: inconclusive measurement or no Eve code in the row, as in every
+    unattacked session), read from the row code alone, as ``round(i)`` and
+    the export show her result.
     """
 
     alice_bits: np.ndarray
@@ -793,4 +775,4 @@ def sift(log: SessionLog) -> SiftedKey:
     """
     kept = np.concatenate([codes[_KEY_ROW[codes]] for _, codes in log._code_pieces()])
     return SiftedKey(alice_bits=_ROWS["alice"][kept], bob_bits=_BOB_BIT[kept],
-                     eve_guesses=_EVE_GUESS[int(log.config.attack_active)][kept])
+                     eve_guesses=_EVE_GUESS[kept])

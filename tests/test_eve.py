@@ -14,9 +14,9 @@ from scqkd.core import (
     terminal_distribution,
 )
 from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_information
-from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, SessionLog, run_session, sift
+from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, run_session, sift
 
-from conftest import row_codes
+from conftest import log_of_codes, row_codes
 
 UPSILONS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -72,7 +72,7 @@ def attacked_log(rounds):
         np.zeros(n, dtype=bool),
     )
     config = SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0)
-    return SessionLog._of_codes(config, codes)
+    return log_of_codes(config, codes)
 
 
 class TestEveGuess:

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestScenarioTableValidation:
                 p_outcome_given_ops={("Reflect", "Reflect"): {"D9": 1.0}},
                 p_bob_detects_given_block=1.0,
             )
+
+    @pytest.mark.parametrize("ops, problem", [
+        (("Foo", "Absorb"), "unknown"), (("Absorb", "Bar"), "unknown"),
+        (("Reflect", "Reflect"), "missing")])
+    def test_an_operation_pair_outside_ops_by_ops_rejected_by_name(self, ops, problem):
+        rows = dict(classical_ball_table().p_outcome_given_ops)
+        if problem == "missing":
+            del rows[ops]
+        else:
+            rows[ops] = {"D1": 1.0}
+        with pytest.raises(ValueError, match=re.escape(f"{problem} operation pair {ops!r}")):
+            ScenarioTable(name="broken", p_outcome_given_ops=rows, p_bob_detects_given_block=1.0)
 
     def test_the_predicates_take_only_a_table(self):
         # The tolerance and the prior are module constants, not settable values.

@@ -39,15 +39,16 @@ def column_digest(log) -> str:
 @given(config=configs)
 def test_log_invariants(config):
     log = run_session(config)
+    attacked = config.upsilon is not None and config.upsilon > 0.0
     d0_cells = log.histogram.reshape(protocol.HISTOGRAM_SHAPE)[:, :, D0].sum()
     d0 = log.outcome == D0
     assert d0_cells == d0.sum()
     assert len(sift(log)) == int(np.sum(d0 & ~log.disclosed))
-    np.testing.assert_array_equal(log.eve_result >= 0, d0 & config.attack_active)
+    np.testing.assert_array_equal(log.eve_result >= 0, d0 & attacked)
 
     absorb_absorb = (log.alice == 0) & (log.bob == 0)
     assert not np.any(absorb_absorb & ((log.outcome == D0) | (log.outcome == D1)))
-    if not config.attack_active:
+    if not attacked:
         assert not np.any((log.alice == 1) & (log.bob == 1) & d0)
 
     assert sum(log.counters.values()) == config.n_rounds
@@ -285,12 +286,20 @@ def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
     assert ((buckets.reshape(4, -1) == protocol._STRADDLES).sum(axis=1) <= columns).all()
 
 
-def assert_each_bin_in_one_cell(bins, one_hot) -> np.ndarray:
-    """Each row of ``one_hot``, one joint bin's count, lands in one cell at every angle."""
+def assert_each_bin_in_one_cell(bins, one_hot, upsilons) -> np.ndarray:
+    """Each row of ``one_hot``, one joint bin's count, lands in one cell at every angle.
+
+    No bin lands in a cell that holds an Eve code unless the cell's outcome
+    is D0 and its angle, of ``upsilons`` (the plan's, in order), is above 0:
+    a row code alone tells whether Eve measured.
+    """
     cells = protocol._cells(bins, one_hot)
-    assert cells.shape == (len(one_hot), len(bins.outcome_edges), protocol._ROW_CODES)
+    assert cells.shape == (len(one_hot), len(upsilons), protocol._ROW_CODES)
     assert cells.min() >= 0
     np.testing.assert_array_equal(cells.sum(axis=-1), 1)
+    attacked = np.array([[u is not None and u > 0.0] for u in upsilons])
+    rows = protocol._ROWS
+    assert not cells[..., (rows["eve_result"] >= 0) & ~(attacked & (rows["outcome"] == D0))].any()
     return cells
 
 
@@ -309,7 +318,7 @@ def test_a_rounds_row_is_the_row_its_bin_is_counted_in(upsilon):
     (bins,) = protocol._sweep_plan((upsilon,))
     cells = math.prod(bins.shape)
     assert cells <= 160
-    identity = assert_each_bin_in_one_cell(bins, np.eye(cells, dtype=np.int64))[:, 0]
+    identity = assert_each_bin_in_one_cell(bins, np.eye(cells, dtype=np.int64), [upsilon])[:, 0]
     rounds = [(d, p, k_o, k_e) for p in range(4) for d in (0, 1)
               for k_o in least_keys(bins.outcome_thresholds[p])
               for k_e in least_keys(bins.eve_thresholds[p])]
@@ -327,10 +336,12 @@ def test_a_rounds_row_is_the_row_its_bin_is_counted_in(upsilon):
 def test_every_joint_bin_of_the_sweep_grid_plan_lands_in_one_cell_per_angle():
     # The benchmark's 33-angle grid is one batch of 9 520 joint bins: the
     # whole identity, 128 bins at a time.
-    (bins,) = protocol._sweep_plan(tuple(k * (math.pi / 2) / 32 for k in range(33)))
+    grid = [k * (math.pi / 2) / 32 for k in range(33)]
+    (bins,) = protocol._sweep_plan(tuple(grid))
     cells = math.prod(bins.shape)
     for lo in range(0, cells, 128):
-        assert_each_bin_in_one_cell(bins, np.eye(128, cells, lo, dtype=np.int64)[:cells - lo])
+        assert_each_bin_in_one_cell(bins, np.eye(128, cells, lo, dtype=np.int64)[:cells - lo],
+                                    grid)
 
 
 #: 300 angles, None and 0 among them: four batches of up to 2**16 joint bins.
@@ -349,10 +360,13 @@ def test_joint_bins_of_a_multi_batch_plan_land_in_one_cell_per_angle(data):
     # A batch's identity holds 2**32 prefix sums, so its bins are drawn.
     plan = protocol._sweep_plan(LONG_GRID)
     assert len(plan) > 1
-    bins = data.draw(st.sampled_from(plan))
+    # A batch holds the grid's next angles, in order.
+    starts = np.cumsum([0, *(len(bins.outcome_edges) for bins in plan)]).tolist()
+    batch = data.draw(st.integers(0, len(plan) - 1))
+    bins = plan[batch]
     drawn = data.draw(st.lists(st.tuples(
         st.integers(0, 1), st.integers(0, 3), bin_coordinates(bins.outcome_edges, bins.shape[2]),
         bin_coordinates(bins.eve_edges, bins.shape[3])), min_size=1, max_size=32))
     one_hot = np.zeros((len(drawn), math.prod(bins.shape)), np.int64)
     one_hot[np.arange(len(drawn)), np.ravel_multi_index(np.array(drawn).T, bins.shape)] = 1
-    assert_each_bin_in_one_cell(bins, one_hot)
+    assert_each_bin_in_one_cell(bins, one_hot, LONG_GRID[starts[batch]:starts[batch + 1]])

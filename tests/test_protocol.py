@@ -32,7 +32,8 @@ from scqkd.protocol import (
     sift,
 )
 
-from conftest import d0_rounds, mapped_codes, peak_traced_mb, round_words, row_codes, with_columns
+from conftest import (d0_rounds, log_of_codes, mapped_codes, peak_traced_mb, round_words, row_codes,
+                      with_columns)
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
 
@@ -63,7 +64,7 @@ def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
         np.asarray(disclosed if disclosed is not None else [False] * n, dtype=bool),
     )
     config = SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0)
-    return SessionLog._of_codes(config, codes)
+    return log_of_codes(config, codes)
 
 
 class TestSessionConfig:
@@ -118,11 +119,6 @@ class TestSessionConfig:
         assert run_session(config).to_json() == run_session(plain).to_json()
         assert '"upsilon":0.0' in run_session(config).to_json()
 
-    def test_attack_active_only_for_positive_upsilon(self):
-        assert not SessionConfig(n_rounds=1).attack_active
-        assert not SessionConfig(n_rounds=1, upsilon=0.0).attack_active
-        assert SessionConfig(n_rounds=1, upsilon=0.3).attack_active
-
 
 class TestSessionLogColumns:
     #: Absorb/Reflect, D0, no Eve result, not disclosed.
@@ -135,38 +131,8 @@ class TestSessionLogColumns:
         with pytest.raises(TypeError, match="no public constructor"):
             SessionLog(*args)
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
-    def test_wrong_length_rejected_by_name(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"row codes have shape {shape}")):
-            SessionLog._of_codes(SessionConfig(n_rounds=2),
-                                 np.full(shape, self.CODE, np.uint8))
-
-    @pytest.mark.parametrize("dtype", [np.float64, bool, object])
-    def test_non_integer_codes_rejected_by_name(self, dtype):
-        with pytest.raises(ValueError, match="row codes must be integers"):
-            SessionLog._of_codes(SessionConfig(n_rounds=2), np.zeros(2, dtype))
-
-    @pytest.mark.parametrize(
-        "dtype, value",
-        [(np.int8, -1), (np.int16, 128), (np.int16, 255), (np.uint16, 2**16 - 1),
-         (np.int64, -2**40), (np.uint64, 2**64 - 1)],
-    )
-    def test_out_of_range_codes_rejected_by_name(self, dtype, value):
-        codes = np.array([self.CODE, value], dtype)
-        with pytest.raises(ValueError, match=r"row codes must lie in \[0, 128\)"):
-            SessionLog._of_codes(SessionConfig(n_rounds=2), codes)
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
-    def test_any_integer_dtype_of_codes_gives_the_same_columns(self, dtype):
-        codes = np.arange(protocol._ROW_CODES)
-        expected = protocol._ROWS[codes]
-        log = SessionLog._of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
-        for name in expected.dtype.names:
-            np.testing.assert_array_equal(getattr(log, name), expected[name])
-            assert getattr(log, name).dtype == expected[name].dtype
-
     def test_columns_are_edited_in_place_but_never_reassigned(self):
-        log = SessionLog._of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
+        log = log_of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
         log.outcome[1] = OUTCOME_ORDER.index(Outcome.D1)
         assert log.counters[("Absorb", "Reflect", "D0")] == 1
         assert log.counters[("Absorb", "Reflect", "D1")] == 1
@@ -181,13 +147,13 @@ class TestSessionLogColumns:
     def test_a_column_edited_out_of_range_is_no_other_row(self, name, value):
         # Code 16 is an Absorb/Absorb round; outcome 4 once counted it as an
         # Absorb/Reflect D0 round, a key round, and Eve's 5 as code 28.
-        log = SessionLog._of_codes(SessionConfig(n_rounds=2), [16, 16])
+        log = log_of_codes(SessionConfig(n_rounds=2), [16, 16])
         getattr(log, name)[0] = value
         for view in (lambda: log.histogram, lambda: log.counters, lambda: sift(log), log.to_csv,
                      lambda: log.to_json(include_rounds=True), lambda: log.round(0)):
             with pytest.raises(ValueError):
                 view()
-        assert log.round(1) == SessionLog._of_codes(SessionConfig(n_rounds=2), [16, 16]).round(1)
+        assert log.round(1) == log_of_codes(SessionConfig(n_rounds=2), [16, 16]).round(1)
 
 
 class TestSampler:
@@ -376,14 +342,15 @@ class TestRoundView:
         assert seen_d0
 
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
-    def test_eve_result_shows_only_on_an_attacked_sessions_d0_rounds(self, upsilon):
-        # Every row code once, Eve's results on rounds of every outcome included.
-        log = SessionLog._of_codes(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
+    def test_eve_result_shows_exactly_on_the_d0_rows_that_hold_her_code(self, upsilon):
+        # Every row code once, Eve's results on rounds of every outcome
+        # included: the code alone decides, whatever the session's angle.
+        log = log_of_codes(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
         rows = json.loads(log.to_json(include_rounds=True))["rounds"]
         key = iter(sift(log).eve_guesses.tolist())
         for code, rec, row in zip(range(128), map(log.round, range(128)), rows, strict=True):
             eve = (code >> 1 & 3) - 1
-            shown = log.config.attack_active and rec.outcome is Outcome.D0 and eve >= 0
+            shown = rec.outcome is Outcome.D0 and eve >= 0
             assert rec.eve_result is (EVE_OUTCOME_ORDER[eve] if shown else None), code
             assert row["eve_result"] == (rec.eve_result.value if shown else None), code
             # The key's guess is the bit Eve's shown result names: Plus 0, Minus 1.
@@ -829,14 +796,14 @@ class TestSerialization:
             assert rec.announced is expected
 
 
-    def test_row_templates_are_cached_per_attack_flag_and_format(self):
+    def test_row_templates_are_cached_per_format(self):
         protocol._row_templates.cache_clear()
         for upsilon in (None, 0.0, math.pi / 6, math.pi / 2):
             log = run_session(SessionConfig(n_rounds=30, upsilon=upsilon, seed=8))
             log.to_json(include_rounds=True)
             log.to_csv()
-        assert protocol._row_templates.cache_info().currsize <= 4
-        assert protocol._records.cache_info().currsize <= 2
+        assert protocol._row_templates.cache_info().currsize <= 2
+        assert protocol._records.cache_info().currsize <= 1
 
 
 class TestEncoders:

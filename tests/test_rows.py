@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from scqkd import protocol
 from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
-from scqkd.protocol import SessionConfig, SessionLog, run_session
+from scqkd.protocol import SessionConfig, run_session
 
-from conftest import row_codes
+from conftest import log_of_codes, row_codes
 
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
 CHECK_FRACTIONS = [0.0, 0.5, 1.0]
@@ -145,10 +145,10 @@ def test_sessions_cover_every_reachable_row(sessions):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_any_columns_render_like_the_reference(n, upsilon, seed):
-    """Uniformly random codes, reachable or not, as a hand-built log may hold."""
+    """Uniformly random codes, reachable or not, as a log edited in place may hold."""
     rng = np.random.default_rng(seed)
-    log = SessionLog._of_codes(SessionConfig(n, upsilon=upsilon),
-                               rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
+    log = log_of_codes(SessionConfig(n, upsilon=upsilon),
+                       rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
     assert_rows_match_reference(log)
 
 
