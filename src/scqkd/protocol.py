@@ -724,9 +724,9 @@ class SiftedKey:
     """Raw key bits from announced D0 rounds not disclosed for checking.
 
     ``eve_guesses`` holds Eve's bit guess per position (-1 when she has
-    none: inconclusive measurement or no Eve code in the row, as in every
-    unattacked session), read from the row code alone, as ``round(i)`` and
-    the export show her result.
+    none: an inconclusive result, or no Eve code in the row, as in every
+    round of an unattacked session), as ``round(i)`` and the export show
+    her result.
     """
 
     alice_bits: np.ndarray
