@@ -119,6 +119,14 @@ class TestSessionConfig:
         assert run_session(config).to_json() == run_session(plain).to_json()
         assert '"upsilon":0.0' in run_session(config).to_json()
 
+    def test_attack_active_only_for_positive_upsilon(self):
+        # Eve measures, and so leaves a code in a row, only at an angle above 0.
+        for upsilon, attacked in ((None, False), (0.0, False), (0.3, True)):
+            log = run_session(SessionConfig(n_rounds=2000, upsilon=upsilon, seed=4))
+            assert (log.eve_result >= 0).any() == attacked
+            assert (log.histogram.reshape(protocol.HISTOGRAM_SHAPE)[:, :, :, 1:].sum() > 0) \
+                == attacked
+
 
 class TestSessionLogColumns:
     #: Absorb/Reflect, D0, no Eve result, not disclosed.
@@ -130,6 +138,17 @@ class TestSessionLogColumns:
         # Every log follows from its config: only run_session makes one.
         with pytest.raises(TypeError, match="no public constructor"):
             SessionLog(*args)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
+    def test_any_integer_dtype_of_codes_gives_the_same_columns(self, dtype):
+        # Each column keeps its record field's dtype, whatever dtype the edit held.
+        codes = np.arange(protocol._ROW_CODES)
+        expected = protocol._ROWS[codes]
+        log = log_of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
+        for name in expected.dtype.names:
+            np.testing.assert_array_equal(getattr(log, name), expected[name])
+            assert getattr(log, name).dtype == expected[name].dtype
+        np.testing.assert_array_equal(log.histogram, np.ones(protocol._ROW_CODES))
 
     def test_columns_are_edited_in_place_but_never_reassigned(self):
         log = log_of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
@@ -340,6 +359,25 @@ class TestRoundView:
             else:
                 assert rec.eve_result is None
         assert seen_d0
+
+    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
+    def test_eve_result_shows_only_on_an_attacked_sessions_d0_rounds(self, upsilon):
+        # A session's own rows: its sampler writes Eve's code only on the D0
+        # rounds of an attacked session, and round, the JSON rows and sift agree.
+        attacked = upsilon is not None and upsilon > 0.0
+        log = run_session(SessionConfig(n_rounds=400, upsilon=upsilon, seed=29))
+        rows = json.loads(log.to_json(include_rounds=True))["rounds"]
+        key = iter(sift(log).eve_guesses.tolist())
+        seen = False
+        for rec, row in zip(map(log.round, range(len(log))), rows, strict=True):
+            shown = attacked and rec.outcome is Outcome.D0
+            seen |= shown
+            assert (rec.eve_result is not None) == shown, rec
+            assert row["eve_result"] == (rec.eve_result.value if shown else None), rec
+            if rec.sifted and not rec.disclosed_for_check:
+                assert (next(key) >= 0) <= shown, rec
+        assert next(key, None) is None
+        assert seen == attacked
 
     @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
     def test_eve_result_shows_exactly_on_the_d0_rows_that_hold_her_code(self, upsilon):
