@@ -15,15 +15,14 @@ cannot depend on the worker count used to compute it.
 
 Every round is one of 128 row codes, and a code is its fields' flat index
 in ``HISTOGRAM_SHAPE``; ``_ROWS`` holds each code's fields.  Every reported
-number is a function of the session's histogram of row codes.  A
-``SessionLog`` holds that histogram alone until a per-round column is first
-read; then it holds one ``_ROWS`` record per round, whose fields are the
-columns.  Outside that record a round is only its row code: the key
-(``sift``) and the per-round export read the codes as they are mapped
-again, through 128-entry tables indexed by the code, and ``round(i)`` reads
-one record table.  Every session runs chunk by chunk on one thread pool,
-``_map_chunks``, and ``_draw_chunk`` draws a chunk's pair codes and key
-words.
+number is a function of the session's histogram of row codes, and every
+per-round view a function of a first round id and codes: ``_rows`` renders
+the export's rows, ``_key`` the key, and ``round(i)`` reads ``_records()``.
+A log's codes come from ``_code_pieces`` alone.  A ``SessionLog`` holds its
+histogram alone until a per-round column is first read; then it holds one
+``_ROWS`` record per round, whose fields are the columns.  Every session
+runs chunk by chunk on one thread pool, ``_map_chunks``, and
+``_draw_chunk`` draws a chunk's pair codes and key words.
 
 Sessions that differ only in upsilon share every draw, so
 ``_sweep_histograms``, and so ``run_session``, bins each chunk once
@@ -248,8 +247,8 @@ class SessionLog:
     """A whole session: its config and its histogram of row codes or its rounds.
 
     A log comes from ``run_session`` and holds only its read-only
-    histogram.  Its bulk views, ``sift`` and the per-round export, read the
-    row codes as ``_code_pieces`` maps them again, chunk by chunk; only
+    histogram.  Its bulk views, ``sift`` and the per-round export, are
+    ``_key`` and ``_rows`` of each piece of codes from ``_code_pieces``; only
     reading a column, directly or through ``round(i)``, decodes the rounds
     into the log's record, ``_rounds``: one ``_ROWS`` entry per round.  The
     five columns ``alice``, ``bob``, ``outcome``, ``eve_result`` and
@@ -291,10 +290,10 @@ class SessionLog:
 
     @functools.cached_property
     def _rounds(self) -> np.ndarray:
-        """The log's record, each round's ``_ROWS`` entry: the rounds mapped again and decoded."""
+        """The log's record, each round's ``_ROWS`` entry: the codes of ``_code_pieces``, decoded."""
         rounds = np.empty(len(self), _ROWS.dtype)
-        for lo, codes in _map_chunks(self.config, self._workers, _code_task(self.config)):
-            # In the default mode numpy buffers ``out``: 2.3 ms a 2**16-round chunk, not 0.26.
+        for lo, codes in self._code_pieces():
+            # In the default mode numpy buffers ``out``: 2.3 ms per 2**16 rounds, not 0.26.
             _ROWS.take(codes, out=rounds[lo:lo + len(codes)], mode="clip")
         return rounds
 
@@ -325,9 +324,9 @@ class SessionLog:
         return RoundRecord(int(i), *_records()[code])
 
     def _code_pieces(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first round id, row codes) per ``_PIECE_ROWS`` rounds: from the record, or mapped.
+        """(first round id, row codes) per ``_PIECE_ROWS`` rounds: the one source of a log's codes.
 
-        A record is encoded one piece at a time, so no view holds a code per round.
+        Mapped again, or encoded from the log's record a piece at a time once it has one.
         """
         if "_rounds" in vars(self):
             for lo in range(0, len(self), _PIECE_ROWS):
@@ -338,33 +337,18 @@ class SessionLog:
                 yield lo + start, codes[start:start + _PIECE_ROWS]
 
     def _document(self, fmt: str) -> Iterator[str]:
-        """The per-round document in ``fmt``, yielded ``_PIECE_ROWS`` rows at a time.
+        """The per-round document in ``fmt``: a head, ``_rows`` of each code piece, an end.
 
         ``to_json(include_rounds=True)`` and ``to_csv()`` join it; the CLI
-        writes it piece by piece.  A row is its code's head, its round id
-        and its code's tail.  Round id i is the decade prefix str(i // 10),
-        made once per ten rounds and empty below 10, then the last digit,
-        which the tail table folds into the tail.
+        writes it piece by piece.
         """
-        heads, tails = _row_templates(fmt)
         if fmt == "json":
             # "rounds" sorts after "config" and "counters", so the rows close the document.
             yield self.to_json()[:-2] + ',"rounds":['
         else:
-            yield "round_id,alice,bob,outcome,announced,eve_result,sifted,disclosed\n"
-        for lo, chunk in self._code_pieces():
-            decade, digit = np.divmod(np.arange(lo, lo + len(chunk)), 10)
-            first = lo // 10
-            prefixes = np.array(list(map(str, range(first, decade[-1] + 1))), dtype=object)
-            if first == 0:
-                prefixes[0] = ""
-            parts = [""] * (3 * len(chunk))
-            parts[0::3] = heads[chunk].tolist()
-            parts[1::3] = prefixes.take(decade - first).tolist()
-            parts[2::3] = tails[digit, chunk].tolist()
-            if lo == 0 and fmt == "json":
-                parts[0] = parts[0][1:]  # no comma before the first row
-            yield "".join(parts)
+            yield _csv_line(_row(RoundRecord(0, *_records()[0])).keys())
+        for lo, codes in self._code_pieces():
+            yield _rows(fmt, lo, codes)
         if fmt == "json":
             yield "]}\n"
 
@@ -413,6 +397,14 @@ _ROW_FORMATS = {
 }
 
 
+def _row(rec: RoundRecord) -> dict:
+    """A round's row of the per-round export; its keys, in order, are the CSV header."""
+    return {"round_id": rec.round_id, "alice": rec.alice_choice.value, "bob": rec.bob_choice.value,
+            "outcome": rec.outcome.value, "announced": rec.announced.value,
+            "eve_result": rec.eve_result.value if rec.eve_result else None,
+            "sifted": rec.sifted, "disclosed": rec.disclosed_for_check}
+
+
 @functools.lru_cache(maxsize=2)
 def _row_templates(fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Heads and tails of the rows in ``fmt``: ``heads[code]`` and ``tails[digit, code]``.
@@ -423,24 +415,35 @@ def _row_templates(fmt: str) -> tuple[np.ndarray, np.ndarray]:
     its round id, so a code renders alike in every log.
     """
     render = _ROW_FORMATS[fmt]
-    split = [
-        render({
-            "round_id": rec.round_id,
-            "alice": rec.alice_choice.value,
-            "bob": rec.bob_choice.value,
-            "outcome": rec.outcome.value,
-            "announced": rec.announced.value,
-            "eve_result": rec.eve_result.value if rec.eve_result else None,
-            "sifted": rec.sifted,
-            "disclosed": rec.disclosed_for_check,
-        }).partition(str(_ROUND_ID_MARK))
-        for rec in (RoundRecord(_ROUND_ID_MARK, *fields) for fields in _records())
-    ]
+    split = [render(_row(RoundRecord(_ROUND_ID_MARK, *fields))).partition(str(_ROUND_ID_MARK))
+             for fields in _records()]
     heads = np.array([head for head, _, _ in split], dtype=object)
     tails = np.array([[str(digit) + tail for _, _, tail in split] for digit in range(10)],
                      dtype=object)
     heads.flags.writeable = tails.flags.writeable = False  # shared through the cache
     return heads, tails
+
+
+def _rows(fmt: str, lo: int, codes: np.ndarray) -> str:
+    """The ``fmt`` rows of the rounds from id ``lo`` on, whose row codes are ``codes`` (not empty).
+
+    A row is its code's head, its round id and its code's tail.  Round id i
+    is the decade prefix str(i // 10), made once per ten rounds and empty
+    below 10, then the last digit, which the tail table folds into the tail.
+    """
+    heads, tails = _row_templates(fmt)
+    decade, digit = np.divmod(np.arange(lo, lo + len(codes)), 10)
+    first = lo // 10
+    prefixes = np.array(list(map(str, range(first, decade[-1] + 1))), dtype=object)
+    if first == 0:
+        prefixes[0] = ""
+    parts = [""] * (3 * len(codes))
+    parts[0::3] = heads[codes].tolist()
+    parts[1::3] = prefixes.take(decade - first).tolist()
+    parts[2::3] = tails[digit, codes].tolist()
+    if lo == 0 and fmt == "json":
+        parts[0] = parts[0][1:]  # no comma before a document's first row
+    return "".join(parts)
 
 
 def _codes(rounds: np.ndarray) -> np.ndarray:
@@ -770,9 +773,16 @@ class SiftedKey:
 def sift(log: SessionLog) -> SiftedKey:
     """Extract the raw key: D0 rounds that were not disclosed for checking.
 
-    Alice's bit is 1 when she reflected; Bob's bit is 1 when he absorbed.
-    D0 then implies equal bits whenever the choices were anti-correlated.
+    ``_key`` of each piece of the log's codes, joined.  Alice's bit is 1 when
+    she reflected; Bob's bit is 1 when he absorbed.  D0 then implies equal
+    bits whenever the choices were anti-correlated.
     """
-    kept = np.concatenate([codes[_KEY_ROW[codes]] for _, codes in log._code_pieces()])
+    keys = [vars(_key(codes)) for _, codes in log._code_pieces()]
+    return SiftedKey(**{name: np.concatenate([key[name] for key in keys]) for name in keys[0]})
+
+
+def _key(codes: np.ndarray) -> SiftedKey:
+    """The raw key of rounds whose row codes are ``codes``: each key row's bits and Eve's guess."""
+    kept = codes[_KEY_ROW[codes]]
     return SiftedKey(alice_bits=_ROWS["alice"][kept], bob_bits=_BOB_BIT[kept],
                      eve_guesses=_EVE_GUESS[kept])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scqkd import protocol
-from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, run_session
+from scqkd.protocol import CHOICES_BY_CODE, SessionConfig
 
 
 def round_words(pair, w_outcome, w_eve):
@@ -62,19 +62,6 @@ def draw_pair(alice, bob, upsilon, n, rng, given_d0=False):
 @pytest.fixture(name="draw_pair")
 def draw_pair_fixture():
     return draw_pair
-
-
-def log_of_codes(config, codes):
-    """``run_session(config)`` with its rounds edited in place into the rounds of ``codes``.
-
-    Each column is assigned its field of the codes' ``_ROWS`` entries, so the
-    log holds one round per code: the only way to give a log chosen rounds.
-    """
-    log = run_session(config)
-    rows = protocol._ROWS[np.asarray(codes)]
-    for name in rows.dtype.names:
-        getattr(log, name)[:] = rows[name]
-    return log
 
 
 def with_columns(log):

@@ -14,9 +14,9 @@ from scqkd.core import (
     terminal_distribution,
 )
 from scqkd.eve import EVE_OUTCOME_ORDER, EveOutcome, eve_information
-from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, run_session, sift
+from scqkd.protocol import CHOICES_BY_CODE, SessionConfig, _key, run_session, sift
 
-from conftest import log_of_codes, row_codes
+from conftest import row_codes
 
 UPSILONS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -60,8 +60,8 @@ class TestEveMeasure:
         assert (eve == PLUS).all()
 
 
-def attacked_log(rounds):
-    """An attacked log of undisclosed (alice, bob, outcome, Eve's result or None) rounds."""
+def attacked_key(rounds):
+    """``_key`` of undisclosed (alice, bob, outcome, Eve's result or None) rounds."""
     n = len(rounds)
     codes = row_codes(
         np.array([2 * CHOICES_BY_CODE.index(r[0]) + CHOICES_BY_CODE.index(r[1]) for r in rounds],
@@ -71,12 +71,12 @@ def attacked_log(rounds):
                  dtype=np.int8),
         np.zeros(n, dtype=bool),
     )
-    config = SessionConfig(n_rounds=n, upsilon=math.pi / 3, check_fraction=0.0)
-    return log_of_codes(config, codes)
+    return _key(codes)
 
 
 class TestEveGuess:
-    # sift turns Eve's result on each key round into her guess of the shared bit.
+    # The key (``sift``, and ``_key`` of each piece of codes) turns Eve's result on each
+    # key round into her guess of the shared bit.
 
     def test_guess_map_matches_the_arm_probe_correlation(self):
         # Oracle: the conditional D0 probes of the two anti-correlated cases.
@@ -85,10 +85,10 @@ class TestEveGuess:
         internal = terminal_distribution(Choice.REFLECT, Choice.ABSORB, math.pi / 3)
         assert abs(np.vdot(plus, external.probe(Outcome.D0))) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(minus, internal.probe(Outcome.D0))) == pytest.approx(1.0, abs=1e-12)
-        key = sift(attacked_log([
+        key = attacked_key([
             (Choice.ABSORB, Choice.REFLECT, Outcome.D0, EveOutcome.PLUS),
             (Choice.REFLECT, Choice.ABSORB, Outcome.D0, EveOutcome.MINUS),
-        ]))
+        ])
         # Plus tags the external arm: Alice absorbed, shared bit 0.
         # Minus tags the internal arm: Alice reflected, shared bit 1.
         np.testing.assert_array_equal(key.eve_guesses, [0, 1])
@@ -96,17 +96,17 @@ class TestEveGuess:
         assert key.eve_guess_errors() == 0
 
     def test_inconclusive_yields_no_guess(self):
-        key = sift(attacked_log([
+        key = attacked_key([
             (Choice.ABSORB, Choice.REFLECT, Outcome.D0, EveOutcome.INCONCLUSIVE),
-        ]))
+        ])
         np.testing.assert_array_equal(key.eve_guesses, [-1])
 
     def test_non_d0_rounds_get_no_guess(self):
-        key = sift(attacked_log([
+        key = attacked_key([
             (Choice.ABSORB, Choice.REFLECT, Outcome.D1, None),
             (Choice.REFLECT, Choice.ABSORB, Outcome.D0, EveOutcome.MINUS),
             (Choice.REFLECT, Choice.REFLECT, Outcome.D1, None),
-        ]))
+        ])
         np.testing.assert_array_equal(key.eve_guesses, [1])
 
 

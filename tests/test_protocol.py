@@ -32,7 +32,7 @@ from scqkd.protocol import (
     sift,
 )
 
-from conftest import (d0_rounds, log_of_codes, mapped_codes, peak_traced_mb, round_words, row_codes,
+from conftest import (d0_rounds, mapped_codes, peak_traced_mb, round_words, row_codes,
                       with_columns)
 
 EPSILON_PI4 = 0.22654091966098642  # (1 - sqrt(2)/2)/(2 - sqrt(2)/2)
@@ -55,16 +55,16 @@ def scalar_draw(probabilities, u: float) -> int:
     return max(code for code, p in enumerate(probabilities) if p > 0.0)
 
 
-def manual_log(alice, bob, outcome, eve=None, disclosed=None, upsilon=None):
+def manual_key(alice, bob, outcome, disclosed=None):
+    """``_key`` of rounds with these choice and outcome codes and no Eve result."""
     n = len(alice)
     codes = row_codes(
         np.asarray(alice, dtype=np.uint8) * 2 + np.asarray(bob, dtype=np.uint8),
         np.asarray(outcome, dtype=np.uint8),
-        np.asarray(eve if eve is not None else [-1] * n, dtype=np.int8),
+        np.full(n, -1, dtype=np.int8),
         np.asarray(disclosed if disclosed is not None else [False] * n, dtype=bool),
     )
-    config = SessionConfig(n_rounds=n, upsilon=upsilon, seed=0, check_fraction=0.0)
-    return log_of_codes(config, codes)
+    return protocol._key(codes)
 
 
 class TestSessionConfig:
@@ -133,6 +133,20 @@ class TestSessionLogColumns:
     CODE = int(row_codes(np.ones(1, np.uint8), np.zeros(1, np.uint8), np.full(1, -1, np.int8),
                          np.zeros(1, bool))[0])
 
+    @staticmethod
+    def log_of_codes(config, codes):
+        """``run_session(config)`` with its rounds edited in place into the rounds of ``codes``.
+
+        Each column is assigned its field of the codes' ``_ROWS`` entries, so
+        the log holds one round per code.  Tests of the per-round views pass
+        codes to ``_rows`` and ``_key``; these tests are of the edit itself.
+        """
+        log = run_session(config)
+        rows = protocol._ROWS[np.asarray(codes)]
+        for name in rows.dtype.names:
+            getattr(log, name)[:] = rows[name]
+        return log
+
     @pytest.mark.parametrize("args", [(), (SessionConfig(n_rounds=1), [CODE])])
     def test_a_log_has_no_public_constructor(self, args):
         # Every log follows from its config: only run_session makes one.
@@ -144,14 +158,14 @@ class TestSessionLogColumns:
         # Each column keeps its record field's dtype, whatever dtype the edit held.
         codes = np.arange(protocol._ROW_CODES)
         expected = protocol._ROWS[codes]
-        log = log_of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
+        log = self.log_of_codes(SessionConfig(n_rounds=len(codes)), codes.astype(dtype))
         for name in expected.dtype.names:
             np.testing.assert_array_equal(getattr(log, name), expected[name])
             assert getattr(log, name).dtype == expected[name].dtype
         np.testing.assert_array_equal(log.histogram, np.ones(protocol._ROW_CODES))
 
     def test_columns_are_edited_in_place_but_never_reassigned(self):
-        log = log_of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
+        log = self.log_of_codes(SessionConfig(n_rounds=2), [self.CODE, self.CODE])
         log.outcome[1] = OUTCOME_ORDER.index(Outcome.D1)
         assert log.counters[("Absorb", "Reflect", "D0")] == 1
         assert log.counters[("Absorb", "Reflect", "D1")] == 1
@@ -166,13 +180,13 @@ class TestSessionLogColumns:
     def test_a_column_edited_out_of_range_is_no_other_row(self, name, value):
         # Code 16 is an Absorb/Absorb round; outcome 4 once counted it as an
         # Absorb/Reflect D0 round, a key round, and Eve's 5 as code 28.
-        log = log_of_codes(SessionConfig(n_rounds=2), [16, 16])
+        log = self.log_of_codes(SessionConfig(n_rounds=2), [16, 16])
         getattr(log, name)[0] = value
         for view in (lambda: log.histogram, lambda: log.counters, lambda: sift(log), log.to_csv,
                      lambda: log.to_json(include_rounds=True), lambda: log.round(0)):
             with pytest.raises(ValueError):
                 view()
-        assert log.round(1) == log_of_codes(SessionConfig(n_rounds=2), [16, 16]).round(1)
+        assert log.round(1) == self.log_of_codes(SessionConfig(n_rounds=2), [16, 16]).round(1)
 
 
 class TestSampler:
@@ -379,18 +393,20 @@ class TestRoundView:
         assert next(key, None) is None
         assert seen == attacked
 
-    @pytest.mark.parametrize("upsilon", [None, 0.0, math.pi / 4])
-    def test_eve_result_shows_exactly_on_the_d0_rows_that_hold_her_code(self, upsilon):
+    def test_eve_result_shows_exactly_on_the_d0_rows_that_hold_her_code(self):
         # Every row code once, Eve's results on rounds of every outcome
-        # included: the code alone decides, whatever the session's angle.
-        log = log_of_codes(SessionConfig(n_rounds=128, upsilon=upsilon), np.arange(128))
-        rows = json.loads(log.to_json(include_rounds=True))["rounds"]
-        key = iter(sift(log).eve_guesses.tolist())
-        for code, rec, row in zip(range(128), map(log.round, range(128)), rows, strict=True):
+        # included: the code alone decides, with no log and so no angle.
+        codes = np.arange(protocol._ROW_CODES, dtype=np.uint8)
+        records = (protocol.RoundRecord(code, *protocol._records()[code]) for code in range(128))
+        rows = json.loads("[" + protocol._rows("json", 0, codes) + "]")
+        lines = protocol._rows("csv", 0, codes).splitlines()
+        key = iter(protocol._key(codes).eve_guesses.tolist())
+        for code, rec, row, line in zip(range(128), records, rows, lines, strict=True):
             eve = (code >> 1 & 3) - 1
             shown = rec.outcome is Outcome.D0 and eve >= 0
             assert rec.eve_result is (EVE_OUTCOME_ORDER[eve] if shown else None), code
             assert row["eve_result"] == (rec.eve_result.value if shown else None), code
+            assert line.split(",")[5] == (rec.eve_result.value if shown else ""), code
             # The key's guess is the bit Eve's shown result names: Plus 0, Minus 1.
             if rec.sifted and not rec.disclosed_for_check:
                 assert next(key) == (eve if shown and eve <= 1 else -1), code
@@ -738,26 +754,23 @@ class TestSift:
 
     def test_bit_convention_on_a_single_counterfactual_round(self):
         # Alice reflected, Bob absorbed, D0 announced: both bits are 1.
-        log = manual_log(alice=[1], bob=[0], outcome=[0])
-        key = sift(log)
+        key = manual_key(alice=[1], bob=[0], outcome=[0])
         assert key.alice_bits.tolist() == [1]
         assert key.bob_bits.tolist() == [1]
 
     def test_bit_convention_on_the_mirror_round(self):
         # Alice absorbed, Bob reflected: both bits are 0.
-        log = manual_log(alice=[0], bob=[1], outcome=[0])
-        key = sift(log)
+        key = manual_key(alice=[0], bob=[1], outcome=[0])
         assert key.alice_bits.tolist() == [0]
         assert key.bob_bits.tolist() == [0]
 
     def test_non_d0_and_disclosed_rounds_are_dropped(self):
-        log = manual_log(
+        key = manual_key(
             alice=[1, 1, 0, 1],
             bob=[0, 0, 1, 1],
             outcome=[0, 1, 0, 0],
             disclosed=[False, False, True, False],
         )
-        key = sift(log)
         assert len(key) == 2  # rounds 0 and 3
 
     def test_qber_under_attack_matches_the_closed_form(self):
@@ -773,16 +786,15 @@ class TestSift:
         assert (key.eve_guesses == -1).all()
 
     def test_memory_is_flat_in_the_session(self):
-        # Only the key rounds' codes outlive a chunk: a 4 * 10**6-round log's
-        # five columns alone would take 19 MiB.
+        # Only the key rounds' bits outlive a piece of codes: a 4 * 10**6-round
+        # log's five columns alone would take 19 MiB.
         log = run_session(SessionConfig(n_rounds=4_000_000, upsilon=math.pi / 6, seed=84))
         sift(run_session(SessionConfig(n_rounds=10)))  # numpy's lazy imports, untraced
         assert peak_traced_mb(lambda: sift(log)) < 6
         assert "_rounds" not in vars(log)
 
     def test_empty_key_rejects_rates(self):
-        log = manual_log(alice=[1], bob=[1], outcome=[1])
-        key = sift(log)
+        key = manual_key(alice=[1], bob=[1], outcome=[1])
         with pytest.raises(ValueError, match="empty"):
             key.mismatch_rate()
 

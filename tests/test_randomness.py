@@ -9,6 +9,8 @@ from scqkd.core import OUTCOME_ORDER, Outcome, build_povm, terminal_distribution
 from scqkd.protocol import CHOICES_BY_CODE, _cumulative, _thresholds
 from scqkd.randomness import DISCLOSE_STREAM, ROUND_STREAM, _philox_words, philox_stream
 
+import reference
+
 
 class TestPhiloxStream:
     def test_identical_keys_reproduce_identical_draws(self):
@@ -96,3 +98,27 @@ class TestWords:
                     if 0 <= word < 2**64:
                         k = word >> 11
                         assert (k >= T) == (k * 2.0**-53 >= t), (t, word)
+
+
+class TestReference:
+    """The layout that ``tests/reference.py`` writes down without numpy, against the streams."""
+
+    def test_stream_ids_are_the_packages(self):
+        assert reference.ROUND_STREAM == ROUND_STREAM
+        assert reference.DISCLOSE_STREAM == DISCLOSE_STREAM
+
+    @pytest.mark.parametrize("seed, stream, step", [
+        (0, ROUND_STREAM, 0), (31, DISCLOSE_STREAM, 5), (2**64 - 1, ROUND_STREAM, 12_345),
+        (2**63 + 1, DISCLOSE_STREAM, 2**40 + 3), (2**64 - 1, 2**64 - 1, 2**64 - 1),
+        (7, ROUND_STREAM, 2**64),
+    ])
+    def test_a_step_is_the_block_of_the_next_counter(self, seed, stream, step):
+        # Steps 2**64 - 1 and 2**64 are the blocks of counters whose low word carries.
+        words = _philox_words(seed, stream, step, 2).tolist()
+        assert words == [list(reference.philox_block(seed, stream, s)) for s in (step, step + 1)]
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_disclosure_double_i_is_word_i_mod_4_of_step_i_div_4(self, seed):
+        n = 4 * 25 + 3
+        doubles = philox_stream(seed, DISCLOSE_STREAM).random(n).tolist()
+        assert doubles == [(reference.disclosure_word(seed, i) >> 11) * 2.0**-53 for i in range(n)]

@@ -23,7 +23,7 @@ from scqkd import protocol
 from scqkd.core import ATOL, OUTCOME_ORDER, Outcome
 from scqkd.protocol import SessionConfig, run_session
 
-from conftest import log_of_codes, row_codes
+from conftest import row_codes
 
 UPSILONS = [None, 0.0, math.pi / 6, math.pi / 2]
 CHECK_FRACTIONS = [0.0, 0.5, 1.0]
@@ -31,22 +31,23 @@ ROUNDS = 5_000
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 
 
+def reference_row(rec) -> dict:
+    """The row of the round whose ``RoundRecord`` is ``rec``."""
+    return {
+        "round_id": rec.round_id,
+        "alice": rec.alice_choice.value,
+        "bob": rec.bob_choice.value,
+        "outcome": rec.outcome.value,
+        "announced": rec.announced.value,
+        "eve_result": rec.eve_result.value if rec.eve_result else None,
+        "sifted": rec.sifted,
+        "disclosed": rec.disclosed_for_check,
+    }
+
+
 def reference_rows(log, ids=None) -> list[dict]:
     """The rows of rounds ``ids`` (default: every round), in that order."""
-    records = map(log.round, range(len(log)) if ids is None else ids)
-    return [
-        {
-            "round_id": rec.round_id,
-            "alice": rec.alice_choice.value,
-            "bob": rec.bob_choice.value,
-            "outcome": rec.outcome.value,
-            "announced": rec.announced.value,
-            "eve_result": rec.eve_result.value if rec.eve_result else None,
-            "sifted": rec.sifted,
-            "disclosed": rec.disclosed_for_check,
-        }
-        for rec in records
-    ]
+    return [reference_row(log.round(i)) for i in (range(len(log)) if ids is None else ids)]
 
 
 def reference_json(log) -> str:
@@ -138,18 +139,32 @@ def test_sessions_cover_every_reachable_row(sessions):
     assert seen == reachable
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(1, 2_000),
-    upsilon=st.sampled_from(UPSILONS) | st.floats(0.0, math.pi / 2),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_any_columns_render_like_the_reference(n, upsilon, seed):
-    """Uniformly random codes, reachable or not, as a log edited in place may hold."""
-    rng = np.random.default_rng(seed)
-    log = log_of_codes(SessionConfig(n, upsilon=upsilon),
-                       rng.integers(0, protocol._ROW_CODES, n, dtype=np.uint8))
-    assert_rows_match_reference(log)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 2_000), seed=st.integers(0, 2**32 - 1),
+       lo=st.integers(0, 2**40) | st.builds(lambda k, d: 10**k - d, st.integers(1, 12),
+                                            st.integers(0, 10)))
+def test_any_codes_render_like_the_reference(data, n, lo, seed):
+    """Uniformly random codes, reachable or not, from any first round id, in one piece or two.
+
+    First round ids of up to 13 digits are drawn, some just below a power of
+    ten so that the rows cross into the next width; no session in these
+    tests is long enough to reach a round id of 10**6.
+    """
+    codes = np.random.default_rng(seed).integers(0, protocol._ROW_CODES, n, dtype=np.uint8)
+    rows = [reference_row(protocol.RoundRecord(lo + j, *protocol._records()[code]))
+            for j, code in enumerate(codes.tolist())]
+    # Round 0's JSON row opens the document's list of rows; every other row follows a comma.
+    expected = {
+        "json": "".join(("," if row["round_id"] else "") + json.dumps(row, sort_keys=True,
+                                                                      separators=(",", ":"))
+                        for row in rows),
+        "csv": "".join(reference_csv_line(row) + "\n" for row in rows),
+    }
+    split = data.draw(st.integers(1, n - 1), label="split")
+    for fmt, text in expected.items():
+        assert_same_text(protocol._rows(fmt, lo, codes), text)
+        assert_same_text(protocol._rows(fmt, lo, codes[:split])
+                         + protocol._rows(fmt, lo + split, codes[split:]), text)
 
 
 #: In-range values of each column.
