@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 from .ontology import IntegrityViolationError, classification_matrix
 from .protocol import SessionConfig, _canonical, _csv_line, run_session
 from .security import (
-    InsufficientCheckDataError,
     estimate_from_session,
     solve_threshold,
     sweep_csv,
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, InsufficientCheckDataError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -161,15 +161,13 @@ def apply_switch(
     """
     if choice is Choice.REFLECT:
         return state, 0.0, None
-    amp = state.amp_a if arm is Arm.A else state.amp_b
-    weight = float(np.vdot(amp, amp).real)
-    probe = amp / math.sqrt(weight) if weight > ATOL else None
+    weight, probe = _normalized_or_none(state.amp_a if arm is Arm.A else state.amp_b)
     zero = np.zeros(2, dtype=complex)
     if arm is Arm.A:
         new_state = JointState(amp_a=zero, amp_b=state.amp_b)
     else:
         new_state = JointState(amp_a=state.amp_a, amp_b=zero)
-    return new_state, (weight if probe is not None else 0.0), probe
+    return new_state, weight, probe
 
 
 def recombine_at_beamsplitter(

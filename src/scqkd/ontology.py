@@ -131,20 +131,6 @@ class ScenarioTable:
         return posterior
 
 
-def bayes_no_detection(p_psi: float, prior_block: float) -> float:
-    """Posterior that Bob blocked, given Alice's non-detection.
-
-    ``p_psi`` is the probability the entity actually travelled from the
-    source past Bob's position; non-detection is certain under blocking
-    but also occurs with probability 1 - p_psi without it.
-    """
-    if not 0.0 <= p_psi <= 1.0:
-        raise ValueError(f"p_psi must lie in [0, 1], got {p_psi}")
-    if not 0.0 < prior_block < 1.0:
-        raise ValueError(f"prior_block must lie in (0, 1), got {prior_block}")
-    return prior_block / ((1.0 - p_psi) + p_psi * prior_block)
-
-
 def is_real(table: ScenarioTable) -> bool:
     """Can Alice ever retrodict Bob's blocking action with certainty?
 

@@ -31,7 +31,7 @@ histogram out of the summed bin counts.  ``_sweep_plan`` is the one cache
 of the sampler's law: it merges each angle's ``_thresholds`` as it is
 built.  Per-round row codes are read from the same bins of each round's
 own angle: ``_joint`` gives the round's bin, whether it is counted or
-mapped, and ``_cells`` is the one rule for which row a bin is counted in.
+mapped, and ``_bin_rows`` is the one rule for which row a bin is in.
 Every JSON and CSV artifact of the package is encoded here, by
 ``_canonical`` and ``_csv_line``.
 """
@@ -508,27 +508,24 @@ _JOINT_CELLS = 2**16
 
 @dataclass(frozen=True)
 class _Bins:
-    """Angles counted together, and where each angle's thresholds lie among theirs.
+    """Angles counted together, and each bin's code at each of them.
 
     Per pair code, ``outcome_thresholds`` is the sorted union of the angles'
     outcome thresholds (``_thresholds``) and 2**53, padded with 2**53,
     ``eve_thresholds`` the same of their Eve tables, and the bucket tables
     are ``_bucket_table`` of each; every array is read-only.  A round's bin
-    counts its row's merged thresholds at or below its key; its code at an
-    angle is at most j exactly when the bin is below the edge of T[j], the
-    count of merged thresholds at or below it.
-    ``outcome_edges`` holds 0 and the edges, per angle and pair; ``eve_edges``
-    per angle, pair and outcome bounds the Eve-absent cell and Eve's three,
-    so each joint bin lies in one row at each angle.  Sessions are counted in
-    these bins, and per-round rows are read from those of their own angle.
+    counts its row's merged thresholds at or below its key.  No angle's
+    threshold lies inside a bin, so every key of a bin has the code of its
+    least key, held per angle, pair and bin: ``outcome_codes``, and
+    ``eve_codes``, Eve's code + 1 or 0 at an angle without an attack.
     """
 
     outcome_thresholds: np.ndarray
     eve_thresholds: np.ndarray
     outcome_buckets: np.ndarray
     eve_buckets: np.ndarray
-    outcome_edges: np.ndarray
-    eve_edges: np.ndarray
+    outcome_codes: np.ndarray
+    eve_codes: np.ndarray
     shape: tuple[int, int, int, int]
 
 
@@ -543,20 +540,20 @@ def _merge(per_angle: list[tuple]) -> list[np.ndarray]:
     return merged
 
 
+def _least_codes(own: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """Per pair and bin, how many of ``own``'s thresholds but 2**53 lie at or below ``least``."""
+    return (own[:, None, :-1] <= least[..., None]).sum(-1, dtype=np.uint8)
+
+
 def _bins(per_angle: list[tuple]) -> _Bins:
     outcome, eve = _merge(per_angle)
-    outcome_edges = np.zeros((len(per_angle), 4, len(OUTCOME_ORDER) + 1), np.intp)
-    eve_edges = np.full((*outcome_edges.shape[:2], len(OUTCOME_ORDER), len(EVE_OUTCOME_ORDER) + 2),
-                        eve.shape[1])
-    eve_edges[..., 0] = 0
-    for (angle, (own_outcome, own_eve)), pair in itertools.product(enumerate(per_angle),
-                                                                   range(4)):
-        outcome_edges[angle, pair, 1:] = outcome[pair].searchsorted(own_outcome[pair], "right")
-        # Eve's row is zeros on a pair whose D0 cannot happen: its D0 bins stay Eve-absent.
-        if own_eve is not None and own_eve[pair, -1]:
-            eve_edges[angle, pair, _D0, 1:] = 0, *eve[pair].searchsorted(own_eve[pair], "right")
-    bins = _Bins(outcome, eve, _bucket_table(outcome), _bucket_table(eve), outcome_edges,
-                 eve_edges, (2, 4, outcome.shape[1], eve.shape[1]))
+    # A bin's least key: 0, or the merged threshold just below it.
+    least_outcome, least_eve = (np.pad(row[:, :-1], ((0, 0), (1, 0))) for row in (outcome, eve))
+    outcome_codes = np.array([_least_codes(own, least_outcome) for own, _ in per_angle])
+    eve_codes = np.array([np.zeros(eve.shape, np.uint8) if own is None
+                          else _least_codes(own, least_eve) + 1 for _, own in per_angle])
+    bins = _Bins(outcome, eve, _bucket_table(outcome), _bucket_table(eve), outcome_codes,
+                 eve_codes, (2, 4, outcome.shape[1], eve.shape[1]))
     for array in vars(bins).values():
         if isinstance(array, np.ndarray):
             array.flags.writeable = False  # shared by every caller through the cache
@@ -602,34 +599,36 @@ def _bin_chunk(plan: tuple[_Bins, ...], seed: int, lo: int,
             for bins in plan]
 
 
-def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
-    """Each angle's row-code histogram of bin counts: lookups in their 2-D prefix sums.
+def _bin_rows(bins: _Bins, joint: np.ndarray) -> np.ndarray:
+    """The row code of each joint bin in ``joint`` at every angle of ``bins``: (angles, bins).
 
-    ``counts`` holds one count per joint bin on its last axis, and any
-    leading axes are kept: the result is shaped (*leading, angles, 128).
-    The row of a joint bin at an angle is the one cell that its count lands
-    in, so this is also the per-round map's one bin-to-row rule.
+    The row holds the bin's outcome code and, where that outcome is D0,
+    Eve's code + 1; this is the one rule for which row a bin is in.
     """
-    lead = counts.shape[:-1]
-    below = counts.reshape(*lead, *bins.shape).cumsum(-2).cumsum(-1)
-    below = np.pad(below, [(0, 0)] * (len(lead) + 2) + [(1, 0)] * 2)
-    disclosed, pair = np.arange(2).reshape(2, 1, 1, 1, 1), np.arange(4).reshape(4, 1, 1)
-    edges, eve = bins.outcome_edges[..., None], bins.eve_edges
-    rectangles = (below[..., disclosed, pair, edges[:, :, 1:], eve]
-                  - below[..., disclosed, pair, edges[:, :, :-1], eve])
-    # To the histogram's axes: angle, pair, outcome, eve + 1, disclosed.
-    return np.moveaxis(np.diff(rectangles), -5, -1).reshape(*lead, -1, _ROW_CODES)
+    disclosed, pair, outcome_bin, eve_bin = np.unravel_index(joint, bins.shape)
+    outcome = bins.outcome_codes[:, pair, outcome_bin]
+    eve = np.where(outcome == _D0, bins.eve_codes[:, pair, eve_bin], 0)
+    return np.ravel_multi_index((pair >> 1, pair & 1, outcome, eve, disclosed), HISTOGRAM_SHAPE)
+
+
+def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
+    """Each angle's row-code histogram: each joint bin's count added to its ``_bin_rows`` row."""
+    (joint,) = np.nonzero(counts)
+    rows = _bin_rows(bins, joint)
+    histograms = np.zeros((len(rows), _ROW_CODES), np.int64)
+    # Indexed (angle, row): numpy 2.4's add.at misreads counts broadcast to a raveled index.
+    np.add.at(histograms, (np.arange(len(rows))[:, None], rows), counts[joint])
+    return histograms
 
 
 def _code_task(config: SessionConfig):
     """The ``_map_chunks`` task of ``config``'s rounds: a chunk's (first round id, row codes).
 
-    A round's row code is the cell that ``_cells`` counts its joint bin in,
-    in its angle's one-angle plan, the bins that its session is counted in.
+    A round's row code is its joint bin's ``_bin_rows`` row in its angle's
+    one-angle plan, the bins that its session is counted in.
     """
     (bins,) = _sweep_plan((config.upsilon,))
-    identity = np.eye(math.prod(bins.shape), dtype=np.int64)
-    rows = _cells(bins, identity)[:, 0].argmax(1).astype(np.uint8)
+    (rows,) = _bin_rows(bins, np.arange(math.prod(bins.shape))).astype(np.uint8)
 
     def task(lo: int, disclosed: np.ndarray) -> tuple[int, np.ndarray]:
         draws = _draw_chunk(config.seed, lo, len(disclosed))

@@ -87,10 +87,6 @@ def solve_threshold(tolerance: float = 1e-9) -> tuple[float, float]:
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     lo, hi = 0.5, 0.9
-    f_lo, f_hi = key_rate(lo), key_rate(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        # Cannot happen for this fixed function; guard retained.
-        raise ArithmeticError(f"bisection bracket lost: f({lo})={f_lo}, f({hi})={f_hi}")
     least = math.inf
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = key_rate(mid)

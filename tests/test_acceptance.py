@@ -22,7 +22,7 @@ from scqkd.core import (
     terminal_distribution,
 )
 from scqkd.ontology import (
-    bayes_no_detection,
+    PRIOR_BLOCK,
     canonical_tables,
     classical_epistemic_table,
     classification_matrix,
@@ -154,13 +154,13 @@ def test_criterion_8_ontology():
     }
     assert quantum_table().posterior_block("Reflect", "D0") == 1.0
 
-    p_psi, prior, n = 0.5, 0.5, 1_000_000
+    p_psi, prior, n = 0.5, PRIOR_BLOCK, 1_000_000
     rng = np.random.default_rng(505)
     travelled = rng.random(n) < p_psi
     blocked = rng.random(n) < prior
     no_detection = ~travelled | blocked
     posterior_hat = (blocked & no_detection).sum() / no_detection.sum()
-    expected = bayes_no_detection(p_psi, prior)
+    expected = classical_epistemic_table(p_psi).posterior_block("Reflect", "Nothing")
     assert abs(posterior_hat - expected) <= four_sigma(expected, int(no_detection.sum()))
 
     tables = canonical_tables()

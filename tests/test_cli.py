@@ -263,6 +263,15 @@ class TestConfigHandling:
         assert run_cli(*command, "--rounds", "1000", "--workers", "0", "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "0.5"]])
+    def test_too_few_check_rounds_is_a_config_error(self, command, tmp_path, capsys):
+        # 2 000 rounds disclose about 50 Reflect/Reflect rounds, under the 100 needed.
+        out = tmp_path / "never.json"
+        assert run_cli(*command, "--rounds", "2000", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: need at least 100 disclosed Reflect/Reflect rounds, got ")
+        assert not out.exists()
+
     def test_invalid_upsilon_is_a_config_error(self):
         assert run_cli("simulate", "--rounds", "100", "--upsilon", "3.0") == 2
 

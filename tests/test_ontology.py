@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from scqkd.ontology import (
+    PRIOR_BLOCK,
     Classification,
     IntegrityViolationError,
     ScenarioTable,
-    bayes_no_detection,
     canonical_tables,
     classical_ball_table,
     classical_epistemic_table,
@@ -27,47 +27,47 @@ from scqkd.ontology import (
 UPSILON_GRID = [math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
 
+def no_detection_posterior(p_psi: float) -> float:
+    """P(Bob blocked | Alice received nothing under Reflect), at transport probability ``p_psi``."""
+    return classical_epistemic_table(p_psi).posterior_block("Reflect", "Nothing")
+
+
 class TestBayesNoDetection:
     def test_certain_transport_gives_certain_retrodiction(self):
-        assert bayes_no_detection(1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert no_detection_posterior(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_bernoulli_transport_dilutes_the_posterior(self):
-        assert bayes_no_detection(0.5, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert no_detection_posterior(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_no_transport_means_no_information(self):
-        assert bayes_no_detection(0.0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert no_detection_posterior(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_in_transport_probability(self):
-        values = [bayes_no_detection(p, 0.5) for p in np.linspace(0.0, 1.0, 50)]
+        values = [no_detection_posterior(p) for p in np.linspace(0.0, 1.0, 50)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_monte_carlo_oracle(self):
         # Simulate the one-way scenario directly: the entity travels with
         # probability p_psi, Bob blocks with the prior, Alice conditions on
         # not receiving anything.
-        p_psi, prior, n = 0.5, 0.5, 1_000_000
+        p_psi, prior, n = 0.5, PRIOR_BLOCK, 1_000_000
         rng = np.random.default_rng(424242)
         travelled = rng.random(n) < p_psi
         blocked = rng.random(n) < prior
         no_detection = ~travelled | blocked
         posterior_hat = (blocked & no_detection).sum() / no_detection.sum()
-        expected = bayes_no_detection(p_psi, prior)
+        expected = no_detection_posterior(p_psi)
         sigma = math.sqrt(expected * (1 - expected) / no_detection.sum())
         assert abs(posterior_hat - expected) <= 4 * sigma
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="p_psi"):
-            bayes_no_detection(1.5, 0.5)
-        with pytest.raises(ValueError, match="prior_block"):
-            bayes_no_detection(0.5, 0.0)
+            no_detection_posterior(1.5)
 
     def test_matches_the_table_posterior(self):
+        # Bayes at the prior 1/2: (1/2) / ((1 - p_psi) + p_psi / 2) = 1 / (2 - p_psi).
         for p_psi in (0.2, 0.5, 0.8):
-            table = classical_epistemic_table(p_psi)
-            posterior = table.posterior_block("Reflect", "Nothing")
-            assert posterior == pytest.approx(
-                bayes_no_detection(p_psi, 0.5), abs=1e-12
-            )
+            assert no_detection_posterior(p_psi) == pytest.approx(1.0 / (2.0 - p_psi), abs=1e-12)
 
 
 class TestCanonicalScenarios:

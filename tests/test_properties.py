@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from unittest import mock
 
@@ -14,7 +15,7 @@ from scqkd.core import OUTCOME_ORDER, Choice, Outcome
 from scqkd.protocol import SessionConfig, run_session, sift
 from scqkd.security import InsufficientCheckDataError, estimate_from_session, sweep_reports
 
-from conftest import mapped_codes, round_words, with_columns
+from conftest import mapped_codes, round_words, row_codes, with_columns
 
 D0 = OUTCOME_ORDER.index(Outcome.D0)
 D1 = OUTCOME_ORDER.index(Outcome.D1)
@@ -65,7 +66,7 @@ def test_worker_and_block_counts_cannot_change_the_log(config, block):
             assert log.to_json() == reference.to_json()
 
 
-def row_codes(log) -> np.ndarray:
+def log_codes(log) -> np.ndarray:
     """Row codes of a log's rounds, in plain int64 arithmetic."""
     alice, bob, outcome, eve, disclosed = (
         col.astype(np.int64)
@@ -77,7 +78,7 @@ def row_codes(log) -> np.ndarray:
 @settings(max_examples=20, deadline=None)
 @given(config=configs, block=st.integers(1, 2_000))
 def test_summary_histogram_counts_the_log_rows(config, block):
-    expected = np.bincount(row_codes(run_session(config)), minlength=128)
+    expected = np.bincount(log_codes(run_session(config)), minlength=128)
     with mock.patch.object(protocol, "SAMPLING_BLOCK", block):
         for workers in range(1, 5):
             summary = run_session(config, workers=workers)
@@ -286,87 +287,98 @@ def test_bucket_lookup_counts_each_rounds_own_row(data, columns, n):
     assert ((buckets.reshape(4, -1) == protocol._STRADDLES).sum(axis=1) <= columns).all()
 
 
-def assert_each_bin_in_one_cell(bins, one_hot, upsilons) -> np.ndarray:
-    """Each row of ``one_hot``, one joint bin's count, lands in one cell at every angle.
+def axis_bins(merged) -> list[tuple[int, int, int]]:
+    """(bin, least key, greatest key) of each bin of one merged row that a key can reach.
 
-    No bin lands in a cell that holds an Eve code unless the cell's outcome
-    is D0 and its angle, of ``upsilons`` (the plan's, in order), is above 0:
-    a row code alone tells whether Eve measured.
+    Bin b holds the keys from 0, or the merged threshold just below it, up
+    to its own merged threshold; a key reaches it when its least key is
+    below that bound and below 2**53.
     """
-    cells = protocol._cells(bins, one_hot)
-    assert cells.shape == (len(one_hot), len(upsilons), protocol._ROW_CODES)
-    assert cells.min() >= 0
-    np.testing.assert_array_equal(cells.sum(axis=-1), 1)
-    attacked = np.array([[u is not None and u > 0.0] for u in upsilons])
-    rows = protocol._ROWS
-    assert not cells[..., (rows["eve_result"] >= 0) & ~(attacked & (rows["outcome"] == D0))].any()
-    return cells
+    row = merged.tolist()
+    return [(b, lo, hi - 1) for b, (lo, hi) in enumerate(zip([0, *row[:-1]], row))
+            if lo < hi and lo < 2**53]
 
 
-def least_keys(thresholds) -> list[int]:
-    """0 and each threshold below 2**53: the least key of every bin that a key can reach."""
-    return [0, *(t for t in thresholds.tolist() if t < 2**53)]
+def reachable_bins(bins):
+    """Every joint bin a key can reach: (joint bins, disclosure flags, pair codes, keys).
+
+    ``keys`` holds the (outcome keys, Eve keys) at each bin's least keys,
+    then at its greatest.
+    """
+    rounds = [(d, p, o, e, o_lo, e_lo, o_hi, e_hi) for d, p in itertools.product((0, 1), range(4))
+              for (o, o_lo, o_hi), (e, e_lo, e_hi) in itertools.product(
+                  axis_bins(bins.outcome_thresholds[p]), axis_bins(bins.eve_thresholds[p]))]
+    d, p, o, e, *keys = np.array(rounds, np.uint64).T
+    joint = np.ravel_multi_index((d, p, o, e), bins.shape)
+    return joint, d.astype(bool), p.astype(np.uint8), (keys[:2], keys[2:])
+
+
+def assert_bin_rows_match_the_exact_compare(bins, upsilons) -> None:
+    """At each angle, a reachable bin's ``_bin_rows`` row is the exact compare's at its ends.
+
+    ``upsilons`` are the batch's angles, in order.  The compare counts each
+    angle's own ``_thresholds`` at the bin's least and greatest keys, Eve's
+    on D0 at attacked angles; and no bin's row, reachable or not, holds an
+    Eve code unless its outcome is D0 at an angle above 0.
+    """
+    assert len(bins.outcome_codes) == len(upsilons)
+    every = protocol._bin_rows(bins, np.arange(math.prod(bins.shape)))
+    joint, disclosed, pair, keys = reachable_bins(bins)
+    for upsilon, rows in zip(upsilons, every, strict=True):
+        fields = protocol._ROWS[rows]
+        attacked = upsilon is not None and upsilon > 0.0
+        assert not ((fields["eve_result"] >= 0) & ~(attacked & (fields["outcome"] == D0))).any()
+        own_outcome, own_eve = protocol._thresholds(upsilon)
+        for k_outcome, k_eve in keys:
+            outcome = protocol._count_thresholds(own_outcome, pair, k_outcome)
+            eve = np.full(len(pair), -1)
+            if own_eve is not None:
+                d0 = outcome == D0
+                eve[d0] = protocol._count_thresholds(own_eve, pair[d0], k_eve[d0])
+            np.testing.assert_array_equal(rows[joint], row_codes(pair, outcome, eve, disclosed))
 
 
 @settings(max_examples=50, deadline=None)
 @given(upsilon=st.none() | st.just(0.0) | st.floats(0.0, math.pi / 2))
 def test_a_rounds_row_is_the_row_its_bin_is_counted_in(upsilon):
-    # The per-round map and the histogram share one rule: the row code that
-    # _code_task maps a round to is the one cell that _cells counts a round
-    # of its joint bin in.  One round per reachable joint bin: its keys are
-    # the least of their outcome and Eve bins.
+    # The per-round map and the histogram share one rule: _code_task maps a
+    # round to its joint bin's _bin_rows row, and _cells counts the bin in
+    # that row.  Two rounds per reachable joint bin: its keys are the least,
+    # then the greatest, of their outcome and Eve bins.
     (bins,) = protocol._sweep_plan((upsilon,))
-    cells = math.prod(bins.shape)
-    assert cells <= 160
-    identity = assert_each_bin_in_one_cell(bins, np.eye(cells, dtype=np.int64), [upsilon])[:, 0]
-    rounds = [(d, p, k_o, k_e) for p in range(4) for d in (0, 1)
-              for k_o in least_keys(bins.outcome_thresholds[p])
-              for k_e in least_keys(bins.eve_thresholds[p])]
-    disclosed, pair, k_outcome, k_eve = np.array(rounds, np.uint64).T
-    disclosed, pair = disclosed.astype(bool), pair.astype(np.uint8)
-    words = round_words(pair, k_outcome << np.uint64(11), k_eve << np.uint64(11))
-    codes = mapped_codes(upsilon, words, disclosed)
-    assert codes.dtype == np.uint8
-    outcome_bin = protocol._count_thresholds(bins.outcome_thresholds, pair, k_outcome)
-    eve_bin = protocol._count_thresholds(bins.eve_thresholds, pair, k_eve)
-    joint = np.ravel_multi_index((disclosed, pair, outcome_bin, eve_bin), bins.shape)
-    np.testing.assert_array_equal(identity[joint], np.eye(protocol._ROW_CODES)[codes])
+    assert math.prod(bins.shape) <= 160
+    assert_bin_rows_match_the_exact_compare(bins, [upsilon])
+    joint, disclosed, pair, keys = reachable_bins(bins)
+    (rows,) = protocol._bin_rows(bins, joint)
+    for k_outcome, k_eve in keys:
+        words = round_words(pair, k_outcome << np.uint64(11), k_eve << np.uint64(11))
+        codes = mapped_codes(upsilon, words, disclosed)
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(codes, rows)
+    # A distinct count per bin, so a count added to another bin's row shows.
+    counts = np.zeros(math.prod(bins.shape), np.int64)
+    counts[joint] = 1 + np.arange(len(joint))
+    np.testing.assert_array_equal(protocol._cells(bins, counts),
+                                  [np.bincount(rows, counts[joint], protocol._ROW_CODES)])
 
 
-def test_every_joint_bin_of_the_sweep_grid_plan_lands_in_one_cell_per_angle():
-    # The benchmark's 33-angle grid is one batch of 9 520 joint bins: the
-    # whole identity, 128 bins at a time.
+def test_every_reachable_bin_of_the_sweep_grid_plan_has_the_exact_compares_row():
+    # The benchmark's 33-angle grid is one batch of 9 520 joint bins.
     grid = [k * (math.pi / 2) / 32 for k in range(33)]
     (bins,) = protocol._sweep_plan(tuple(grid))
-    cells = math.prod(bins.shape)
-    for lo in range(0, cells, 128):
-        assert_each_bin_in_one_cell(bins, np.eye(128, cells, lo, dtype=np.int64)[:cells - lo],
-                                    grid)
+    assert math.prod(bins.shape) == 9_520
+    assert_bin_rows_match_the_exact_compare(bins, grid)
 
 
 #: 300 angles, None and 0 among them: four batches of up to 2**16 joint bins.
 LONG_GRID = (*np.random.default_rng(18).uniform(0.0, math.pi / 2, 298).tolist(), None, 0.0)
 
 
-def bin_coordinates(edges, size: int):
-    """A bin on one axis: every angle's edges and the bins just below them drawn often."""
-    near = sorted({b for e in edges.ravel().tolist() for b in (e - 1, e) if 0 <= b < size})
-    return st.sampled_from(near) | st.integers(0, size - 1)
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_joint_bins_of_a_multi_batch_plan_land_in_one_cell_per_angle(data):
-    # A batch's identity holds 2**32 prefix sums, so its bins are drawn.
+def test_every_reachable_bin_of_a_multi_batch_plan_has_the_exact_compares_row():
     plan = protocol._sweep_plan(LONG_GRID)
     assert len(plan) > 1
     # A batch holds the grid's next angles, in order.
-    starts = np.cumsum([0, *(len(bins.outcome_edges) for bins in plan)]).tolist()
-    batch = data.draw(st.integers(0, len(plan) - 1))
-    bins = plan[batch]
-    drawn = data.draw(st.lists(st.tuples(
-        st.integers(0, 1), st.integers(0, 3), bin_coordinates(bins.outcome_edges, bins.shape[2]),
-        bin_coordinates(bins.eve_edges, bins.shape[3])), min_size=1, max_size=32))
-    one_hot = np.zeros((len(drawn), math.prod(bins.shape)), np.int64)
-    one_hot[np.arange(len(drawn)), np.ravel_multi_index(np.array(drawn).T, bins.shape)] = 1
-    assert_each_bin_in_one_cell(bins, one_hot, LONG_GRID[starts[batch]:starts[batch + 1]])
+    starts = np.cumsum([0, *(len(bins.outcome_codes) for bins in plan)]).tolist()
+    assert starts[-1] == len(LONG_GRID)
+    for bins, lo, hi in zip(plan, starts, starts[1:]):
+        assert_bin_rows_match_the_exact_compare(bins, LONG_GRID[lo:hi])

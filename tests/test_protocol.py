@@ -271,7 +271,7 @@ class TestSampler:
             for bins in protocol._sweep_plan(grid):
                 assert bins.outcome_buckets.nbytes + bins.eve_buckets.nbytes <= per_batch
                 for array in (bins.outcome_buckets, bins.eve_buckets, bins.outcome_thresholds,
-                              bins.eve_thresholds, bins.outcome_edges, bins.eve_edges):
+                              bins.eve_thresholds, bins.outcome_codes, bins.eve_codes):
                     with pytest.raises(ValueError):
                         array[0] = 0
         assert protocol._sweep_plan.cache_info().maxsize * per_batch <= 2 * 2**20
@@ -616,7 +616,7 @@ class TestSummary:
         grid[7], grid[150], grid[299] = grid[200], None, 0.0
         plan = protocol._sweep_plan(tuple(grid))
         assert len(plan) > 1
-        assert sum(len(bins.outcome_edges) for bins in plan) == len(grid)
+        assert sum(len(bins.outcome_codes) for bins in plan) == len(grid)
         for bins in plan:
             assert max(bins.shape[2:]) <= protocol._STRADDLES
             assert math.prod(bins.shape) <= 2**16  # a uint16 joint index

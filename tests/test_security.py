@@ -119,6 +119,10 @@ class TestKeyRate:
 
 
 class TestThreshold:
+    def test_the_bisection_bracket_holds_the_root(self):
+        # solve_threshold bisects [0.5, 0.9] without evaluating its ends.
+        assert key_rate(0.5) < 0.0 < key_rate(0.9)
+
     def test_threshold_near_21_percent(self):
         v_star, epsilon_star = solve_threshold(1e-9)
         assert 0.205 <= epsilon_star <= 0.215
