@@ -616,7 +616,7 @@ def _cells(bins: _Bins, counts: np.ndarray) -> np.ndarray:
     (joint,) = np.nonzero(counts)
     rows = _bin_rows(bins, joint)
     histograms = np.zeros((len(rows), _ROW_CODES), np.int64)
-    # Indexed (angle, row): numpy 2.4's add.at misreads counts broadcast to a raveled index.
+    # Indexed (angle, row): numpy 2.4.6's add.at garbles counts broadcast to a flat 2-D index.
     np.add.at(histograms, (np.arange(len(rows))[:, None], rows), counts[joint])
     return histograms
 
